@@ -435,7 +435,7 @@ def dirichlet_eigenvalue_upper(
     The bound is c_n/R^2 + (n-1)^2 K/4 + ((n-2)^2/4 + 1/4) * B(R, K) with
     B(R, K) = 1/R^2 - K/sinh^2(sqrt(K) R), a positive correction bounded by
     K/3.  c_n defaults to the flat-ball value and may be overridden through
-    the ledger entry 'dirichlet_c'; the ledger records both constants."""
+    the ledger entry 'dirichlet_c', which the ledger records."""
     if not (R > 0.0):
         raise ValueError("R must be positive")
     if not (K > 0.0):
@@ -458,8 +458,6 @@ def dirichlet_eigenvalue_upper(
         sh = math.sinh(x) if x < 300.0 else math.inf
         corr = 1.0 / R**2 - (K / sh**2 if math.isfinite(sh) else 0.0)
     c_curv = (n - 1) ** 2 * K / 4.0 + ((n - 2) ** 2 / 4.0 + 0.25) * corr
-    if ledger is not None:
-        ledger.set("dirichlet_C", c_curv, "derived", note=f"curvature term at R = {R:.6g}")
     return cn / R**2 + c_curv
 
 

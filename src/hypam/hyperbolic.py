@@ -441,7 +441,6 @@ def heat_semigroup_apply(
     x: ModelPoint,
     method: str = "quadrature",
     mode: HeatKernelMode | None = None,
-    quad: QuadratureSpec | None = None,
     n_paths: int = 4096,
     dt: float | None = None,
     seed: int = 0,
@@ -483,7 +482,7 @@ def heat_semigroup_apply(
         if u0.kind in ("bump", "table"):
             splits.append(u0.R)
             hi = u0.R
-        q = quad or QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-300)
+        q = QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-300)
         return integrate(f, 0.0, hi, q, split_points=splits)
     if method in ("mc", "monte-carlo"):
         h = dt if dt is not None else 0.01 / max(1.0, K)

@@ -22,11 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import gammaln, kve
 
 from .hyperbolic import (
     HeatKernelMode,
     KernelBracket,
     RadialProfile,
+    _log_sinh,
     heat_kernel_log_values,
 )
 from .ledger import ConstantLedger
@@ -82,27 +84,64 @@ def _log_integrand_in_y(y: float, d: float, alpha: float, n: int, K: float, mode
     return alpha * y + float(heat_kernel_log_values(math.exp(y), d, n, K, mode))
 
 
-def g_alpha(
-    spec: NoiseSpec,
-    d: float,
-    mode: HeatKernelMode,
-    quad: QuadratureSpec | None = None,
-) -> KernelBracket:
-    """Kernel of order spec.alpha at distance d, via the time-integral transform.
-
-    The integral is taken in log-time with panel boundaries at t = d^2/4 and
-    t = 1/K, which separates the diagonal peak from the spectral-gap tail.
-    Diverges for d = 0 when alpha <= n/2.
-    """
-    a, n, K = spec.alpha, spec.n, spec.K
-    if d < 0.0:
+def _check_distances(spec: NoiseSpec, d) -> None:
+    if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
-    if d == 0.0 and a <= n / 2.0:
+    if spec.alpha <= spec.n / 2.0 and np.any(d == 0.0):
         raise ValueError(
             "kernel diverges on the diagonal for alpha <= n/2; "
             "evaluate at d > 0 or raise alpha"
         )
-    q = quad or _KERNEL_QUAD
+
+
+def _log_g_exact_n3(spec: NoiseSpec, d) -> np.ndarray:
+    """log of the exact n = 3 kernel at distances d, in closed form.
+
+    DLMF 10.32.10 turns the time integral of the n = 3 heat kernel into
+
+        G_alpha(d) = K^(3/2-alpha) (4 pi)^(-3/2) (rho/sinh rho)
+                     2 (rho/2)^nu K_nu(rho) / Gamma(alpha),
+
+    with rho = sqrt(K) d and nu = alpha - 3/2.  The scaled Bessel function
+    kve keeps the large-rho tail in log space.  On the diagonal (alpha > 3/2)
+    the Bessel factor tends to Gamma(nu).
+    """
+    if spec.n != 3:
+        raise ValueError("the exact closed-form kernel is only available for n = 3")
+    d = np.asarray(d, dtype=float)
+    _check_distances(spec, d)
+    a, K = spec.alpha, spec.K
+    nu = a - 1.5
+    lead = (1.5 - a) * math.log(K) - 1.5 * math.log(4.0 * math.pi) - gammaln(a)
+    on_diag = d == 0.0
+    rho = math.sqrt(K) * np.where(on_diag, 1.0, d)
+    out = (
+        lead
+        + np.log(rho)
+        - _log_sinh(rho)
+        + math.log(2.0)
+        + nu * np.log(rho / 2.0)
+        + np.log(kve(nu, rho))
+        - rho
+    )
+    if np.any(on_diag):
+        out = np.where(on_diag, lead + gammaln(nu), out)
+    return out
+
+
+def g_alpha(spec: NoiseSpec, d: float, mode: HeatKernelMode) -> KernelBracket:
+    """Kernel of order spec.alpha at distance d.
+
+    The exact n = 3 mode uses the closed form of :func:`_log_g_exact_n3`.  The
+    comparison modes integrate the time transform in log-time with panel
+    boundaries at t = d^2/4 and t = 1/K, which separates the diagonal peak
+    from the spectral-gap tail.  Diverges for d = 0 when alpha <= n/2.
+    """
+    a, n, K = spec.alpha, spec.n, spec.K
+    if mode.kind == "exact_n3":
+        value = math.exp(float(_log_g_exact_n3(spec, d)))
+        return KernelBracket(value=value, mode=mode.bracket, d=float(d), alpha=a)
+    _check_distances(spec, d)
 
     def f(y: float) -> float:
         lg = _log_integrand_in_y(y, d, a, n, K, mode)
@@ -111,7 +150,7 @@ def g_alpha(
     splits = [math.log(1.0 / K)]
     if d > 0.0:
         splits.append(math.log(d * d / 4.0))
-    value = integrate(f, -math.inf, math.inf, q, split_points=splits) / math.gamma(a)
+    value = integrate(f, -math.inf, math.inf, _KERNEL_QUAD, split_points=splits) / math.gamma(a)
     return KernelBracket(value=value, mode=mode.bracket, d=float(d), alpha=a)
 
 
@@ -139,7 +178,7 @@ def g_alpha_lower_log(spec: NoiseSpec, z, ledger: ConstantLedger | None = None):
     else:
         s = n / 2.0 - a
         pref = lc - (n - 1) ** 2 / 4.0 - (n - 1) * skz / 2.0 - 1.5 * np.log(2.0 + skz)
-        tail = np.array([log_gamma_upper(s, wi) for wi in w])
+        tail = log_gamma_upper(s, w)
         if s > 0.0:
             out = pref - s * np.log(w) + tail
         else:
@@ -161,7 +200,6 @@ def calibrate_lower_constant(
     spec: NoiseSpec,
     ledger: ConstantLedger,
     d_grid=None,
-    quad: QuadratureSpec | None = None,
 ) -> float:
     """Pin the lower-bound constant against the exact kernel over a radial grid.
 
@@ -177,12 +215,7 @@ def calibrate_lower_constant(
         grid = np.geomspace(1e-3 / sk, 10.0 / sk, 40)
     else:
         grid = np.asarray(d_grid, dtype=float)
-    mode = HeatKernelMode.exact_n3()
-    unit_log = g_alpha_lower_log(spec, grid, ledger=None)
-    log_ratios = np.empty(len(grid))
-    for i, d in enumerate(grid):
-        exact = g_alpha(spec, float(d), mode, quad).value
-        log_ratios[i] = math.log(exact) - unit_log[i]
+    log_ratios = _log_g_exact_n3(spec, grid) - g_alpha_lower_log(spec, grid, ledger=None)
     j = int(np.argmin(log_ratios))
     C = math.exp(log_ratios[j]) * (1.0 - 1e-12)
     ledger.set(
@@ -211,7 +244,6 @@ class KernelGrid:
         d_max: float,
         n_nodes: int = 400,
         ledger: ConstantLedger | None = None,
-        quad: QuadratureSpec | None = None,
     ):
         if source not in ("exact", "lower"):
             raise ValueError("source must be 'exact' or 'lower'")
@@ -223,10 +255,7 @@ class KernelGrid:
         self.d_max = float(d_max)
         nodes = np.geomspace(delta_floor, d_max, n_nodes)
         if source == "exact":
-            mode = HeatKernelMode.exact_n3()
-            logv = np.array(
-                [math.log(g_alpha(spec, float(d), mode, quad).value) for d in nodes]
-            )
+            logv = _log_g_exact_n3(spec, nodes)
         else:
             logv = np.asarray(g_alpha_lower_log(spec, nodes, ledger))
         self._nodes = nodes
@@ -247,7 +276,6 @@ def covariance_form(
     f: RadialProfile,
     g: RadialProfile,
     spec: NoiseSpec,
-    quad: QuadratureSpec | None = None,
     grid: KernelGrid | None = None,
 ) -> float:
     """Bilinear covariance energy of two compactly supported radial profiles.
@@ -271,7 +299,6 @@ def covariance_form(
             delta_floor=1e-4 / sk,
             d_max=f.R + g.R + 1.0 / sk,
             n_nodes=400,
-            quad=quad,
         )
     x1, w1 = np.polynomial.legendre.leggauss(96)
     x2, w2 = np.polynomial.legendre.leggauss(96)

@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 from .kernels import NoiseSpec, dalang_check
-from .specialfn import EULER_GAMMA, QuadratureSpec, gamma_lower, integrate
+from .specialfn import EULER_GAMMA, gamma_lower
 
 __all__ = [
     "Regime",
@@ -39,9 +40,6 @@ __all__ = [
     "upper_exponent",
     "semigroup_decay_bound",
 ]
-
-_PROFILE_QUAD = QuadratureSpec(relative_tolerance=1e-11, absolute_tolerance=1e-300)
-
 
 class Regime(enum.IntEnum):
     """Short-time behavior class of the moment kernel, indexed by alpha vs n/4."""
@@ -147,50 +145,33 @@ def short_time_term(i: Regime, rho: float, cfg: BoundConfig) -> float:
     raise ValueError(f"unknown regime {i!r}")
 
 
-def tail_term(rho: float, K: float, quad: QuadratureSpec | None = None) -> float:
-    """The long-time piece I_4: integral of (1+Ks)^(-3/2) e^(-rho s) over [1/2K, inf)."""
+def tail_term(rho: float, K: float) -> float:
+    """The long-time piece I_4: integral of (1+Ks)^(-3/2) e^(-rho s) over [1/2K, inf).
+
+    Substituting u = 1 + Ks reduces it to an upper incomplete gamma of order
+    -1/2, which closes as (2/K) e^(-z/2) (1/sqrt(1.5) - sqrt(pi z) erfcx(sqrt(1.5 z)))
+    with z = rho/K.
+    """
     if rho < 0.0:
         raise ValueError("rho must be nonnegative")
     if not (K > 0.0):
         raise ValueError("K must be positive")
-    lo = 1.0 / (2.0 * K)
-    if rho == 0.0:
-        return 2.0 / (K * math.sqrt(1.5))
-    q = quad or _PROFILE_QUAD
-    # Substituting u = rho*s leaves a pure e^(-u) tail, which the adaptive rule
-    # handles at any rho.  For small rho the algebraic factor turns over inside
-    # a boundary layer u ~ rho; the geometric ladder keeps each panel within a
-    # couple of decades of dynamic range.
-    u0 = rho * lo
-
-    def f(u: float) -> float:
-        return (1.0 + K * u / rho) ** -1.5 * math.exp(-u) / rho
-
-    splits = sorted({rho * 10.0**k for k in range(16)} | {1.0, 10.0})
-    return integrate(f, u0, math.inf, q, split_points=[p for p in splits if p < 40.0])
+    z = rho / K
+    inner = 1.0 / math.sqrt(1.5) - math.sqrt(math.pi * z) * float(erfcx(math.sqrt(1.5 * z)))
+    return 2.0 / K * math.exp(-0.5 * z) * inner
 
 
-def f_profile(
-    i: Regime,
-    rho: float,
-    cfg: BoundConfig,
-    quad: QuadratureSpec | None = None,
-) -> float:
+def f_profile(i: Regime, rho: float, cfg: BoundConfig) -> float:
     """Profile F_i(rho) = short-time term + tail term; +inf only at (i=2, rho=0)."""
     if i != cfg.regime:
         raise ValueError(
             f"regime mismatch: requested {Regime(i).name}, "
             f"but alpha = {cfg.spec.alpha} is {cfg.regime.name}"
         )
-    return short_time_term(i, rho, cfg) + tail_term(rho, cfg.spec.K, quad)
+    return short_time_term(i, rho, cfg) + tail_term(rho, cfg.spec.K)
 
 
-def theta(
-    beta: float,
-    cfg: BoundConfig,
-    quad: QuadratureSpec | None = None,
-    tol: float = 1e-8,
-) -> float:
+def theta(beta: float, cfg: BoundConfig, tol: float = 1e-8) -> float:
     """Moment growth rate: the unique rho with F_i(rho) = 1/(C_chaos beta^2),
     or 0 when no crossing exists (small beta).
 
@@ -200,12 +181,12 @@ def theta(
         raise ValueError("beta must be positive")
     i = cfg.regime
     target = 1.0 / (cfg.C_chaos * beta * beta)
-    f0 = f_profile(i, 0.0, cfg, quad)
+    f0 = f_profile(i, 0.0, cfg)
     if target >= f0:
         return 0.0
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if f_profile(i, hi, cfg, quad) < target:
+        if f_profile(i, hi, cfg) < target:
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -214,7 +195,7 @@ def theta(
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if f_profile(i, mid, cfg, quad) > target:
+        if f_profile(i, mid, cfg) > target:
             lo = mid
         else:
             hi = mid
@@ -226,7 +207,6 @@ def theta_slope_report(
     beta_lo: float = 1e2,
     beta_hi: float = 1e4,
     n_pts: int = 9,
-    quad: QuadratureSpec | None = None,
 ) -> dict:
     """Fit the large-beta power of theta and report it next to the candidate
     exponents (per beta^2) implied by the tail of F_i.
@@ -238,7 +218,7 @@ def theta_slope_report(
     """
     a, n = cfg.spec.alpha, cfg.spec.n
     betas = np.geomspace(beta_lo, beta_hi, n_pts)
-    thetas = np.array([theta(float(b), cfg, quad) for b in betas])
+    thetas = np.array([theta(float(b), cfg) for b in betas])
     if np.any(thetas <= 0.0):
         raise ValueError("slope fit needs beta large enough that theta > 0 throughout")
     slope = float(np.polyfit(np.log(betas**2), np.log(thetas), 1)[0])
@@ -269,7 +249,6 @@ def semigroup_decay_bound(
     r: float,
     sup_norm: float,
     cfg: BoundConfig,
-    r_norm: float | None = None,
     C: float = 1.0,
 ) -> float:
     """Upper bound on the heat semigroup applied to data with finite sup norm
@@ -277,8 +256,8 @@ def semigroup_decay_bound(
 
     r = +inf gives the plain maximum principle; finite r buys exponential decay
     at rate (n-1)^2 K/(2r) for r >= 2, saturating at (n-1)^2 K/4 for r in [1,2].
-    ``r_norm`` is accepted for interface completeness; the bound is stated
-    through the sup norm with the constant C absorbing the L^r dependence.
+    The bound is stated through the sup norm, with the constant C absorbing
+    the L^r dependence.
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")

@@ -1,11 +1,10 @@
 """Incomplete gamma integrals, exponential integral, and the shared quadrature engine.
 
-Every improper integral in the toolkit (kernel transforms, bound profiles,
-semigroup integrals) funnels through :func:`integrate`, so error control lives
-in one place.  Endpoint power singularities t**(s-1) are removed analytically
-with the substitution u = t**s before the integrator ever sees them, and
-exponentially small tails are evaluated with pure relative error control so
-they stay accurate far below the default absolute floor.
+The incomplete gammas and the exponential integral wrap scipy.special; their
+log tail switches to a continued fraction where the value underflows.  Every
+improper integral without a closed form (the kernel transforms for n != 3, the
+semigroup integral) funnels through :func:`integrate`, so error control lives
+in one place.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate as _scipy_integrate
+from scipy import special as _sp
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -50,10 +50,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
-
-# Pure relative control for tail integrals whose value sits far below 1e-14.
-_TAIL_QUAD = QuadratureSpec(relative_tolerance=1e-12, absolute_tolerance=1e-300)
-
 
 class QuadratureError(RuntimeError):
     """The engine could not meet the requested tolerances."""
@@ -110,40 +106,17 @@ def _check_order(s: float) -> None:
         raise ValueError("order s must be finite")
 
 
-def gamma_lower(s: float, x: float, quad: QuadratureSpec | None = None) -> float:
+def gamma_lower(s: float, x: float) -> float:
     """Integral of t**(s-1) e**(-t) over [0, x]; requires s > 0, x >= 0."""
     _check_order(s)
     if not s > 0.0:
         raise ValueError("gamma_lower requires s > 0")
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError("gamma_lower requires finite x >= 0")
-    if x == 0.0:
-        return 0.0
-    q = quad or _TAIL_QUAD
-    # Beyond the underflow cutoff of exp the integrand is exactly zero in
-    # float64, so truncating there is lossless and keeps the panels on the
-    # scale of the integrand's support (huge empty panels defeat the
-    # extrapolation step of the adaptive rule).
-    if s >= 1.0:
-        hi = min(x, 800.0 + 8.0 * s)
-        return integrate(
-            lambda t: t ** (s - 1.0) * math.exp(-t),
-            0.0,
-            hi,
-            q,
-            split_points=(1.0, 10.0, 100.0),
-        )
-    # u = t**s removes the t**(s-1) endpoint singularity exactly.
-    top = x**s
-    inv = 1.0 / s
-    hi = min(top, 745.0**s)
-    splits = tuple(t**s for t in (1.0, 10.0, 100.0))
-    return integrate(
-        lambda u: math.exp(-(u**inv)), 0.0, hi, q, split_points=splits
-    ) / s
+    return float(_sp.gammainc(s, x) * _sp.gamma(s))
 
 
-def gamma_upper(s: float, x: float, quad: QuadratureSpec | None = None) -> float:
+def gamma_upper(s: float, x: float) -> float:
     """Integral of t**(s-1) e**(-t) over [x, inf); requires s >= 0, x > 0.
 
     s = 0 routes to :func:`neg_ei`.
@@ -154,70 +127,71 @@ def gamma_upper(s: float, x: float, quad: QuadratureSpec | None = None) -> float
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError("gamma_upper requires finite x > 0")
     if s == 0.0:
-        return neg_ei(x, quad)
-    q = quad or _TAIL_QUAD
-    if s >= 1.0:
-        return integrate(
-            lambda t: t ** (s - 1.0) * math.exp(-t),
-            x,
-            math.inf,
-            q,
-            split_points=(x + 1.0, x + 10.0),
-        )
-    inv = 1.0 / s
-    return integrate(
-        lambda u: math.exp(-(u**inv)), x**s, math.inf, q, split_points=(1.0,)
-    ) / s
+        return neg_ei(x)
+    return float(_sp.gammaincc(s, x) * _sp.gamma(s))
 
 
-def neg_ei(x: float, quad: QuadratureSpec | None = None) -> float:
+def neg_ei(x: float) -> float:
     """Integral of e**(-t)/t over [x, inf) for x > 0 (equals -Ei(-x))."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError("neg_ei requires finite x > 0")
-    q = quad or _TAIL_QUAD
-    # t = e**y flattens the 1/t weight; the integrand becomes exp(-exp(y)).
-    return integrate(
-        lambda y: math.exp(-math.exp(y)),
-        math.log(x),
-        math.inf,
-        q,
-        split_points=(0.0, 3.0),
-    )
+    return float(_sp.exp1(x))
 
 
-def log_gamma_upper(s: float, x: float, quad: QuadratureSpec | None = None) -> float:
+# Below this value the scipy tail is close enough to the subnormal range that
+# its relative accuracy degrades; the continued fraction takes over there.
+_TAIL_FLOOR = 1e-280
+
+
+def log_gamma_upper(s: float, x):
     """log of the upper tail integral, stable where the value itself underflows.
 
-    Moderate x goes through the quadrature engine; large x uses the standard
-    continued fraction so arguments like x = 500 stay representable.
+    Accepts a scalar or an array of x.  Where the tail is representable it
+    comes from scipy.special; beyond that the standard continued fraction is
+    run in log form over the remaining points, so arguments up to x = 1e6
+    stay finite.
     """
     _check_order(s)
     if not s >= 0.0:
         raise ValueError("log_gamma_upper requires s >= 0")
-    if not (math.isfinite(x) and x > 0.0):
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x_arr) & (x_arr > 0.0)):
         raise ValueError("log_gamma_upper requires finite x > 0")
-    if x < max(8.0, s + 2.0):
-        return math.log(gamma_upper(s, x, quad))
-    # Lentz evaluation of e^{-x} x^s / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(...)))
+    xf = np.atleast_1d(x_arr)
+    if s == 0.0:
+        tail = _sp.exp1(xf)
+    else:
+        tail = _sp.gammaincc(s, xf) * _sp.gamma(s)
+    far = tail < _TAIL_FLOOR
+    out = np.log(np.where(far, 1.0, tail))
+    if np.any(far):
+        out[far] = _log_gamma_upper_cf(s, xf[far])
+    if x_arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(x_arr.shape)
+
+
+def _log_gamma_upper_cf(s: float, x: np.ndarray) -> np.ndarray:
+    """Lentz evaluation of log(e^{-x} x^s / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(...))))."""
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
+    done = np.zeros(x.shape, dtype=bool)
     for i in range(1, 400):
         an = -i * (i - s)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return -x + s * math.log(x) + math.log(h)
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < 1e-15
+        if done.all():
+            return -x + s * np.log(x) + np.log(h)
     raise QuadratureError("continued fraction for the gamma tail did not converge")
 
 

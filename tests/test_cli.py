@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from hypam.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from hypam.specialfn import QuadratureError
 
 
 def run(*args):
@@ -91,6 +92,15 @@ class TestExitCodes:
 
     def test_missing_config_file_returns_2(self, tmp_path):
         assert run("bounds", "--out", tmp_path, "--config", tmp_path / "nope.json") == 2
+
+    def test_numerical_failure_returns_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("quadrature failed on [0, 1]:\n  no convergence")
+
+        monkeypatch.setattr("hypam.cli.theta", fail)
+        assert run("bounds", "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "error: quadrature failed on [0, 1]: no convergence\n"
 
     def test_version_subprocess(self):
         out = subprocess.run(

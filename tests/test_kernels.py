@@ -90,6 +90,46 @@ class TestGAlpha:
         )
 
 
+class TestExactClosedFormOracle:
+    """The n = 3 kernel against an mpmath quadrature of its defining time
+    integral (1/Gamma(alpha)) int_0^inf t^(alpha-1) p_t(d) dt, with the
+    closed-form heat kernel p_t(d) = (4 pi t)^(-3/2) (rho/sinh rho)
+    exp(-K t - d^2/4t), rho = sqrt(K) d."""
+
+    @staticmethod
+    def reference(alpha, K, d):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a, K, d = mpmath.mpf(alpha), mpmath.mpf(K), mpmath.mpf(d)
+            rho = mpmath.sqrt(K) * d
+            ratio = rho / mpmath.sinh(rho) if d > 0 else mpmath.mpf(1)
+
+            def integrand(t):
+                heat = (4 * mpmath.pi * t) ** -1.5 * ratio * mpmath.exp(-K * t - d * d / (4 * t))
+                return t ** (a - 1) * heat
+
+            # panels split at the diagonal peak d^2/4 and the spectral-gap scale 1/K
+            edges = sorted({mpmath.mpf(0), d * d / 4, 1 / K, mpmath.inf})
+            return float(mpmath.quad(integrand, edges) / mpmath.gamma(a))
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    def test_matches_time_integral(self, alpha, K):
+        for d in (1e-3, 0.05, 1.0, 5.0, 20.0):
+            got = g_alpha(spec_for(alpha, K=K), d, EXACT).value
+            assert got == pytest.approx(self.reference(alpha, K, d), rel=1e-12), d
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    def test_diagonal(self, alpha, K):
+        got = g_alpha(spec_for(alpha, K=K), 0.0, EXACT).value
+        assert got == pytest.approx(self.reference(alpha, K, 0.0), rel=1e-12)
+
+    def test_exact_mode_needs_n3(self):
+        with pytest.raises(ValueError):
+            g_alpha(spec_for(1.0, n=4), 1.0, EXACT)
+
+
 class TestLowerBound:
     def test_three_branches_positive_decreasing(self):
         # alpha below, at, and above n/2 exercise all closed-form branches

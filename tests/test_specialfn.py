@@ -68,6 +68,38 @@ class TestIncompleteGamma:
             gamma_upper(0.5, -1.0)
 
 
+class TestLogGammaUpperOracle:
+    """log Gamma(s, x) against 40-digit mpmath, on both sides of the switch
+    from scipy.special to the continued fraction."""
+
+    XS = np.concatenate([np.geomspace(1e-3, 1e5, 60), [650.0, 700.0, 745.0, 1e6]])
+
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 1.25])
+    def test_matches_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = [float(mpmath.log(mpmath.gammainc(s, mpmath.mpf(float(x))))) for x in self.XS]
+        got = log_gamma_upper(s, self.XS)
+        for x, g, r in zip(self.XS, got, ref):
+            # absolute in log = relative in Gamma(s, x), until the log is large
+            assert abs(g - r) <= 1e-12 * max(1.0, abs(r)), (s, x, g, r)
+
+    @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 1.25])
+    def test_array_call_equals_scalar_calls(self, s):
+        got = log_gamma_upper(s, self.XS)
+        assert got.shape == self.XS.shape
+        for x, g in zip(self.XS, got):
+            assert log_gamma_upper(s, float(x)) == g
+        grid = self.XS[:6].reshape(2, 3)
+        assert np.array_equal(log_gamma_upper(s, grid), got[:6].reshape(2, 3))
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            log_gamma_upper(0.5, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            log_gamma_upper(-0.5, 1.0)
+
+
 class TestNegEi:
     def test_frozen_value(self):
         assert neg_ei(1.0) == pytest.approx(0.21938393439552027, rel=1e-12)
