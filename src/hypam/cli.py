@@ -40,14 +40,13 @@ from .hyperbolic import (
     brownian_path,
     brownian_step,
     distance_coords,
-    heat_kernel,
     heat_kernel_log_values,
     heat_semigroup_apply,
 )
 from .kernels import (
     calibrate_lower_constant,
     dalang_check,
-    g_alpha,
+    g_alpha_log_values,
     g_alpha_lower,
     NoiseSpec,
 )
@@ -276,10 +275,9 @@ def cmd_kernel_table(args, config: dict) -> int:
         if n == 3
         else HeatKernelMode.dm_upper(ledger.value("dm_upper_C"))
     )
-    rows = []
-    for d in d_grid:
-        kb = g_alpha(spec, float(d), mode)
-        rows.append([float(d), kb.value, kb.mode.value, spec.alpha, n, K])
+    bracket = mode.bracket.value
+    values = np.exp(g_alpha_log_values(spec, d_grid, mode))
+    rows = [[float(d), float(v), bracket, spec.alpha, n, K] for d, v in zip(d_grid, values)]
     outputs = [_write_table(out / "g_alpha", ["d", "value", "mode", "alpha", "n", "K"], rows, args.format)]
     # pin the lower-bound constant against the exact kernel on the emitted
     # grid, unless the user supplied one; the manifest ledger records which
@@ -295,9 +293,8 @@ def cmd_kernel_table(args, config: dict) -> int:
     )
     rows = []
     for t in (0.1, 1.0, 5.0):
-        for d in d_grid:
-            kb = heat_kernel(t, float(d), n, K, mode)
-            rows.append([float(d), t, kb.value, kb.mode.value, n, K])
+        values = np.exp(heat_kernel_log_values(t, d_grid, n, K, mode))
+        rows += [[float(d), t, float(v), bracket, n, K] for d, v in zip(d_grid, values)]
     outputs.append(
         _write_table(out / "heat_kernel", ["d", "t", "value", "mode", "n", "K"], rows, args.format)
     )
@@ -558,11 +555,11 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
     spec = NoiseSpec(alpha=1.0, beta=0.0, n=3, K=K)
     ledger = ConstantLedger()
     ds = np.geomspace(0.05, 5.0, 8 if quick else 20)
-    vals = [g_alpha(spec, float(d), mode).value for d in ds]
-    mono = all(a > b for a, b in zip(vals, vals[1:]))
+    vals = np.exp(g_alpha_log_values(spec, ds, mode))
+    mono = bool(np.all(np.diff(vals) < 0.0))
     calibrate_lower_constant(spec, ledger, d_grid=ds)
     lows = g_alpha_lower(spec, ds, ledger)
-    ok = mono and bool(np.all(lows <= np.asarray(vals) * (1.0 + 1e-9)))
+    ok = mono and bool(np.all(lows <= vals * (1.0 + 1e-9)))
     check("kernel-order", ok, "monotone and lower-bounded on the grid")
 
     # growth-rate inversion round trip and the exact small-beta exponent

@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .hyperbolic import ModelPoint, RadialProfile, brownian_step, distance_coords
@@ -422,21 +421,24 @@ def _flat_ball_eigenvalue(n: int) -> float:
         x += step
         if x > 1e4:
             raise RuntimeError("failed to bracket the Bessel zero")
+    from scipy.optimize import brentq  # imported where used, see kernels.KernelGrid
+
     root = brentq(lambda s: jv(nu, s), x, x + step, xtol=1e-13, rtol=1e-15)
     return float(root) ** 2
 
 
-def dirichlet_eigenvalue_upper(
-    R: float, n: int, K: float, ledger: ConstantLedger | None = None
-) -> float:
+def dirichlet_eigenvalue_upper(R, n: int, K: float, ledger: ConstantLedger | None = None):
     """Closed-form upper bound on the first Dirichlet eigenvalue of the
     geodesic ball of radius R.
 
     The bound is c_n/R^2 + (n-1)^2 K/4 + ((n-2)^2/4 + 1/4) * B(R, K) with
     B(R, K) = 1/R^2 - K/sinh^2(sqrt(K) R), a positive correction bounded by
     K/3.  c_n defaults to the flat-ball value and may be overridden through
-    the ledger entry 'dirichlet_c', which the ledger records."""
-    if not (R > 0.0):
+    the ledger entry 'dirichlet_c', which the ledger records.  Accepts a
+    scalar or an array of R; a scalar gives a float."""
+    scalar = np.ndim(R) == 0
+    R = float(R) if scalar else np.asarray(R, dtype=float)
+    if not (R > 0.0 if scalar else np.all(R > 0.0)):
         raise ValueError("R must be positive")
     if not (K > 0.0):
         raise ValueError("K must be positive")
@@ -452,11 +454,17 @@ def dirichlet_eigenvalue_upper(
                 note="squared first zero of the Bessel function of order n/2 - 1",
             )
     x = math.sqrt(K) * R
-    if x < 1e-6:
-        corr = K * (1.0 / 3.0 - x * x / 15.0)
+    # series below x = 1e-6; beyond x = 300 the sinh term is below 1e-260 K and
+    # dropped.  Scalars take math: the golden-section search calls this per radius.
+    if scalar:
+        if x < 1e-6:
+            corr = K * (1.0 / 3.0 - x * x / 15.0)
+        else:
+            corr = 1.0 / R**2 - (K / math.sinh(x) ** 2 if x < 300.0 else 0.0)
     else:
-        sh = math.sinh(x) if x < 300.0 else math.inf
-        corr = 1.0 / R**2 - (K / sh**2 if math.isfinite(sh) else 0.0)
+        sh = np.sinh(np.clip(x, 1e-6, 300.0))
+        tail = np.where(x < 300.0, K / sh**2, 0.0)
+        corr = np.where(x < 1e-6, K * (1.0 / 3.0 - x * x / 15.0), 1.0 / R**2 - tail)
     c_curv = (n - 1) ** 2 * K / 4.0 + ((n - 2) ** 2 / 4.0 + 0.25) * corr
     return cn / R**2 + c_curv
 
@@ -500,9 +508,7 @@ def _q_parts(p, spec, ledger, r_max, n_grid):
     r_grid = _r_search_grid(spec, r_max, n_grid)
     spec2 = replace(spec, alpha=2.0 * spec.alpha)
     gain = (p - 1) * np.asarray(g_alpha_lower(spec2, r_grid, ledger))
-    lam = np.array(
-        [dirichlet_eigenvalue_upper(float(r), spec.n, spec.K, ledger) for r in r_grid]
-    )
+    lam = dirichlet_eigenvalue_upper(r_grid, spec.n, spec.K, ledger)
     return r_grid, gain, lam
 
 

@@ -21,23 +21,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln, kve
 
-from .hyperbolic import (
-    HeatKernelMode,
-    KernelBracket,
-    RadialProfile,
-    _log_sinh,
-    heat_kernel_log_values,
-)
+from .hyperbolic import HeatKernelMode, KernelBracket, RadialProfile, _log_sinh
 from .ledger import ConstantLedger
-from .specialfn import QuadratureSpec, integrate, log_gamma_upper
+from .specialfn import QuadratureError, dm_h_log, log_gamma_upper
 
 __all__ = [
     "NoiseSpec",
     "dalang_check",
     "g_alpha",
+    "g_alpha_log_values",
     "g_alpha_lower",
     "g_alpha_lower_log",
     "calibrate_lower_constant",
@@ -45,7 +39,13 @@ __all__ = [
     "covariance_form",
 ]
 
-_KERNEL_QUAD = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-300)
+# Log-time trapezoid of the comparison-mode transforms (g_alpha_log_values)
+_TRAP_INTERVALS = 32  # initial intervals per point's window
+_TRAP_LEVELS = 8  # cap on step halvings
+_TRAP_RTOL = 1e-10  # two successive levels must agree to this at every point
+_WINDOW_DROP = 46.0  # window ends lie below e^-46 (about 1e-20) of the peak
+_U_LIMIT = 700.0  # |u| up to which e^u and e^-u stay finite normal doubles
+_LADDER = 2.0 ** np.arange(-2, 11)  # offsets from the peak guess searched for the ends
 
 
 def dalang_check(alpha: float, n: int) -> bool:
@@ -75,13 +75,6 @@ class NoiseSpec:
     @property
     def dalang_ok(self) -> bool:
         return dalang_check(self.alpha, self.n)
-
-
-def _log_integrand_in_y(y: float, d: float, alpha: float, n: int, K: float, mode: HeatKernelMode) -> float:
-    # integrate t^(alpha-1) p_t(d) dt with t = e^y; clamp where e^|y| overflows
-    if abs(y) > 690.0:
-        return -math.inf
-    return alpha * y + float(heat_kernel_log_values(math.exp(y), d, n, K, mode))
 
 
 def _check_distances(spec: NoiseSpec, d) -> None:
@@ -129,29 +122,121 @@ def _log_g_exact_n3(spec: NoiseSpec, d) -> np.ndarray:
     return out
 
 
-def g_alpha(spec: NoiseSpec, d: float, mode: HeatKernelMode) -> KernelBracket:
-    """Kernel of order spec.alpha at distance d.
+def _log_integrand(u: np.ndarray, z: np.ndarray, a: float, n: int) -> np.ndarray:
+    """log of tau^a h(tau, z) at tau = e^u, the transform's integrand in log-time."""
+    return a * u + dm_h_log(np.exp(u), z, n)
 
-    The exact n = 3 mode uses the closed form of :func:`_log_g_exact_n3`.  The
-    comparison modes integrate the time transform in log-time with panel
-    boundaries at t = d^2/4 and t = 1/K, which separates the diagonal peak
-    from the spectral-gap tail.  Diverges for d = 0 when alpha <= n/2.
+
+def _windows(z: np.ndarray, a: float, n: int, open_left: bool):
+    """Per-point windows (lo, hi) in u whose ends lie e^-46 below the peak, and
+    the highest log-integrand value seen, each point's scale.
+
+    The integrand is log-concave in u (the second derivative of its log is
+    -z^2 e^-u/4 - (n-1)^2 e^u/4 plus a term below (n-3)/2 e^u), so a node
+    under the threshold on either side of the highest node bounds everything
+    beyond it.  The nodes are a doubling ladder about the peak of
+    -m u - A e^-u - B e^u, the log less its slowly varying factor.  With
+    open_left the left end may be u = -700 above the threshold.
     """
-    a, n, K = spec.alpha, spec.n, spec.K
+    m, A, B = n / 2.0 - a, z * z / 4.0, (n - 1) ** 2 / 4.0
+    root = np.sqrt(m * m + 4.0 * A * B)
+    x = 2.0 * A / (m + root) if m > 0.0 else (root - m) / (2.0 * B)
+    offsets = np.concatenate([-_LADDER[::-1], [0.0], _LADDER])[:, None]
+    u = np.clip(np.log(x) + offsets, -_U_LIMIT, _U_LIMIT)
+    with np.errstate(over="ignore"):  # far nodes of distant points: log value -inf
+        L = _log_integrand(u, z, a, n)
+    top, peak = L.max(axis=0), L.argmax(axis=0)
+    low = L < top - _WINDOW_DROP
+    rows = np.arange(len(offsets))[:, None]
+    left = np.where(low & (rows < peak), rows, 0 if open_left else -1).max(axis=0)
+    right = np.where(low & (rows > peak), rows, len(offsets)).min(axis=0)
+    if np.any(left < 0) or np.any(right == len(offsets)):
+        raise QuadratureError(
+            "kernel transform: the integrand stays above 1e-20 of its peak "
+            f"out to |log(K t)| = {_U_LIMIT:g}"
+        )
+    cols = np.arange(z.size)
+    return u[left, cols], u[right, cols], top
+
+
+def _log_time_transform(z: np.ndarray, a: float, n: int, tail_slope: float = 0.0) -> np.ndarray:
+    """log of the integral over u of exp(a u) h(e^u, z), per point of z.
+
+    Trapezoid rule on each point's window, halving the step until two
+    successive levels agree to 1e-10 relative at every point; the integrand
+    is analytic in a strip and decays doubly exponentially, so the rule
+    converges geometrically (Trefethen & Weideman 2014).  A positive
+    tail_slope says the integrand continues below the window as
+    exp(tail_slope u); the lattice sum of that tail, 1/(1 - e^(-tail_slope h)),
+    then replaces the half weight of the left end.
+    """
+    lo, hi, scale = _windows(z, a, n, open_left=tail_slope > 0.0)
+    nodes = _TRAP_INTERVALS
+    h = (hi - lo) / nodes
+    f = np.exp(_log_integrand(lo + np.arange(nodes + 1)[:, None] * h, z, a, n) - scale)
+    f_lo, s = f[0], f.sum(axis=0) - 0.5 * f[-1]
+
+    def trapezoid(h):
+        w_lo = -1.0 / np.expm1(-tail_slope * h) if tail_slope > 0.0 else 0.5
+        return h * (s - (1.0 - w_lo) * f_lo)
+
+    total = trapezoid(h)
+    for _ in range(_TRAP_LEVELS):
+        h = h / 2.0
+        mid = lo + (2 * np.arange(nodes) + 1)[:, None] * h
+        nodes *= 2
+        s = s + np.exp(_log_integrand(mid, z, a, n) - scale).sum(axis=0)
+        prev, total = total, trapezoid(h)
+        if np.all(np.abs(total - prev) <= _TRAP_RTOL * total):
+            return scale + np.log(total)
+    raise QuadratureError(
+        f"kernel transform: trapezoid levels still differ after {_TRAP_LEVELS} halvings"
+    )
+
+
+def g_alpha_log_values(spec: NoiseSpec, d, mode: HeatKernelMode):
+    """log of the kernel of order spec.alpha at distances d (vectorized over d).
+
+    The exact n = 3 mode is the closed form of :func:`_log_g_exact_n3`.  The
+    comparison modes substitute u = log(K t) and z = sqrt(K) d, so that
+
+        G_alpha(d) = C K^(n/2 - alpha) / Gamma(alpha) * int exp(alpha u) h(e^u, z) du
+
+    with h the profile :func:`~hypam.specialfn.dm_h_log` and C the mode's
+    constant, and evaluate the integral with a step-halving log-time
+    trapezoid rule: successive levels agree to 1e-10 relative at every point,
+    and every point's window ends lie 1e-20 below its peak; otherwise
+    :class:`~hypam.specialfn.QuadratureError`.  Diverges for d = 0 when
+    alpha <= n/2.
+    """
     if mode.kind == "exact_n3":
-        value = math.exp(float(_log_g_exact_n3(spec, d)))
-        return KernelBracket(value=value, mode=mode.bracket, d=float(d), alpha=a)
-    _check_distances(spec, d)
+        out = _log_g_exact_n3(spec, d)
+    else:
+        a, n, K = spec.alpha, spec.n, spec.K
+        d_arr = np.asarray(d, dtype=float)
+        _check_distances(spec, d_arr)
+        z = math.sqrt(K) * d_arr.ravel()
+        logs = np.empty_like(z)
+        # on the diagonal the lower tail decays only like tau^(alpha - n/2), which
+        # sets its window; it is computed once, apart from every other point's
+        on_diag = z == 0.0
+        if np.any(on_diag):
+            logs[on_diag] = _log_time_transform(np.zeros(1), a, n, tail_slope=a - n / 2.0)[0]
+        if not np.all(on_diag):
+            logs[~on_diag] = _log_time_transform(z[~on_diag], a, n)
+        const = mode.C_upper if mode.kind == "dm_upper" else mode.c_lower
+        lead = math.log(const) + (n / 2.0 - a) * math.log(K) - math.lgamma(a)
+        out = (lead + logs).reshape(d_arr.shape)
+    if np.ndim(d) == 0:
+        return float(out)
+    return out
 
-    def f(y: float) -> float:
-        lg = _log_integrand_in_y(y, d, a, n, K, mode)
-        return math.exp(lg) if lg < 709.0 else math.inf
 
-    splits = [math.log(1.0 / K)]
-    if d > 0.0:
-        splits.append(math.log(d * d / 4.0))
-    value = integrate(f, -math.inf, math.inf, _KERNEL_QUAD, split_points=splits) / math.gamma(a)
-    return KernelBracket(value=value, mode=mode.bracket, d=float(d), alpha=a)
+def g_alpha(spec: NoiseSpec, d: float, mode: HeatKernelMode) -> KernelBracket:
+    """Kernel of order spec.alpha at distance d, with the side of the truth it
+    sits on; a scalar wrapper of :func:`g_alpha_log_values`."""
+    value = math.exp(g_alpha_log_values(spec, float(d), mode))
+    return KernelBracket(value=value, mode=mode.bracket, d=float(d), alpha=spec.alpha)
 
 
 def g_alpha_lower_log(spec: NoiseSpec, z, ledger: ConstantLedger | None = None):
@@ -259,6 +344,10 @@ class KernelGrid:
         else:
             logv = np.asarray(g_alpha_lower_log(spec, nodes, ledger))
         self._nodes = nodes
+        # imported where used: scipy.interpolate, like scipy.integrate and
+        # scipy.optimize, adds about 25 MB to any process that imports it
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = PchipInterpolator(nodes, logv, extrapolate=False)
         self.floor_value = float(math.exp(logv[0]))
 

@@ -251,6 +251,17 @@ class TestDirichletBound:
         with pytest.raises(ValueError):
             dirichlet_eigenvalue_upper(1.0, 3, -1.0)
 
+    def test_array_matches_scalar_calls(self):
+        # radii across the series branch, the sinh form and the dropped tail
+        R = np.concatenate([[1e-8, 5e-7], np.geomspace(1e-3, 50.0, 40), [400.0, 1e6]])
+        for n, K in ((2, 0.5), (3, 1.0), (5, 2.0)):
+            got = dirichlet_eigenvalue_upper(R, n, K)
+            want = np.array([dirichlet_eigenvalue_upper(float(r), n, K) for r in R])
+            assert isinstance(dirichlet_eigenvalue_upper(1.0, n, K), float)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError):
+            dirichlet_eigenvalue_upper(np.array([1.0, 0.0]), 3, 1.0)
+
 
 class TestLowerBoundProfile:
     def test_affine_in_beta_squared(self):

@@ -17,10 +17,13 @@ from hypam import (
     calibrate_lower_constant,
     covariance_form,
     dalang_check,
+    QuadratureError,
     g_alpha,
+    g_alpha_log_values,
     g_alpha_lower,
     g_alpha_lower_log,
 )
+from hypam import kernels
 
 EXACT = HeatKernelMode.exact_n3()
 
@@ -128,6 +131,92 @@ class TestExactClosedFormOracle:
     def test_exact_mode_needs_n3(self):
         with pytest.raises(ValueError):
             g_alpha(spec_for(1.0, n=4), 1.0, EXACT)
+
+
+class TestComparisonModeOracle:
+    """The dm_* modes against an mpmath quadrature of their defining time
+    integral (1/Gamma(alpha)) int_0^inf t^(alpha-1) C K^(n/2) h(K t, sqrt(K) d) dt,
+    with h(t, z) = t^(-n/2) (1+t+z)^((n-3)/2) (1+z)
+    exp(-z^2/4t - (n-1)^2 t/4 - (n-1) z/2) the comparison profile."""
+
+    CASES = [(4, 0.75), (4, 1.25), (4, 2.5), (5, 1.0), (5, 2.0), (5, 3.0)]
+
+    @staticmethod
+    def reference(alpha, n, K, d, C):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a, K, d = mpmath.mpf(alpha), mpmath.mpf(K), mpmath.mpf(d)
+            z = mpmath.sqrt(K) * d
+
+            def integrand(t):
+                tau = K * t
+                h = (
+                    tau ** (-mpmath.mpf(n) / 2)
+                    * (1 + tau + z) ** (mpmath.mpf(n - 3) / 2)
+                    * (1 + z)
+                    * mpmath.exp(-z * z / (4 * tau) - (n - 1) ** 2 * tau / 4 - (n - 1) * z / 2)
+                )
+                return t ** (a - 1) * C * K ** (mpmath.mpf(n) / 2) * h
+
+            # panels split at the diagonal peak d^2/4 and the spectral-gap scale 1/K
+            edges = sorted({mpmath.mpf(0), d * d / 4, 1 / K, mpmath.inf})
+            return float(mpmath.quad(integrand, edges) / mpmath.gamma(a))
+
+    @pytest.mark.parametrize("n, alpha", CASES)
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    def test_matches_time_integral(self, n, alpha, K):
+        ds = np.array([1e-3, 0.05, 1.0, 10.0]) / math.sqrt(K)
+        if alpha > n / 2.0:
+            ds = np.append(ds, 0.0)
+        C = 1.5
+        got = np.exp(g_alpha_log_values(spec_for(alpha, n=n, K=K), ds, HeatKernelMode.dm_upper(C)))
+        for d, v in zip(ds, got):
+            assert v == pytest.approx(self.reference(alpha, n, K, d, C), rel=1e-11), d
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("excess", [1e-3, 0.01, 0.05])
+    def test_diagonal_near_half_dimension(self, n, excess):
+        # the tau^(alpha - n/2) tail reaches past t = e^-700 / K here; on the
+        # diagonal the transform is Gamma(s) U(s, s + (n-1)/2, (n-1)^2/4) with
+        # s = alpha - n/2 (DLMF 13.4.4), times C K^(n/2 - alpha) / Gamma(alpha)
+        mpmath = pytest.importorskip("mpmath")
+        alpha, K, C = n / 2.0 + excess, 2.0, 1.5
+        got = g_alpha(spec_for(alpha, n=n, K=K), 0.0, HeatKernelMode.dm_upper(C)).value
+        with mpmath.workdps(30):
+            s, a = mpmath.mpf(excess), mpmath.mpf(alpha)
+            u = mpmath.hyperu(s, s + mpmath.mpf(n - 1) / 2, mpmath.mpf((n - 1) ** 2) / 4)
+            want = C * mpmath.mpf(K) ** (mpmath.mpf(n) / 2 - a) * mpmath.gamma(s) * u / mpmath.gamma(a)
+        assert got == pytest.approx(float(want), rel=1e-11)
+
+    @pytest.mark.parametrize("n, alpha", CASES)
+    def test_array_matches_scalar_calls(self, n, alpha):
+        spec = spec_for(alpha, n=n, K=2.0)
+        mode = HeatKernelMode.dm_upper()
+        ds = np.geomspace(1e-3, 10.0, 25) / math.sqrt(2.0)
+        if alpha > n / 2.0:
+            ds = np.append(0.0, ds)
+        got = np.exp(g_alpha_log_values(spec, ds, mode))
+        scalar = np.array([g_alpha(spec, float(d), mode).value for d in ds])
+        np.testing.assert_allclose(got, scalar, rtol=1e-13, atol=0.0)
+        assert isinstance(g_alpha_log_values(spec, 1.0, mode), float)
+        assert g_alpha(spec, 1.0, mode).mode is BracketMode.UPPER
+
+    def test_lower_mode_scales_by_its_constant(self):
+        spec = spec_for(1.25, n=4, K=0.5)
+        ds = np.geomspace(1e-3, 10.0, 12)
+        base = g_alpha_log_values(spec, ds, HeatKernelMode.dm_lower())
+        scaled = g_alpha_log_values(spec, ds, HeatKernelMode.dm_lower(0.3))
+        np.testing.assert_allclose(scaled - base, math.log(0.3), rtol=0.0, atol=1e-14)
+        assert g_alpha(spec, 1.0, HeatKernelMode.dm_lower(0.3)).mode is BracketMode.LOWER
+
+    def test_diagonal_divergence(self):
+        with pytest.raises(ValueError):
+            g_alpha_log_values(spec_for(2.0, n=4), np.array([0.0, 1.0]), HeatKernelMode.dm_upper())
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_TRAP_LEVELS", 1)
+        with pytest.raises(QuadratureError):
+            g_alpha_log_values(spec_for(1.25, n=4), np.geomspace(1e-3, 10.0, 20), HeatKernelMode.dm_upper())
 
 
 class TestLowerBound:
