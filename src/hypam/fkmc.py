@@ -436,9 +436,8 @@ def dirichlet_eigenvalue_upper(R, n: int, K: float, ledger: ConstantLedger | Non
     K/3.  c_n defaults to the flat-ball value and may be overridden through
     the ledger entry 'dirichlet_c', which the ledger records.  Accepts a
     scalar or an array of R; a scalar gives a float."""
-    scalar = np.ndim(R) == 0
-    R = float(R) if scalar else np.asarray(R, dtype=float)
-    if not (R > 0.0 if scalar else np.all(R > 0.0)):
+    R = np.asarray(R, dtype=float)[()]  # a scalar R becomes a numpy scalar, cheaper than 0-d
+    if not (R > 0.0).all():
         raise ValueError("R must be positive")
     if not (K > 0.0):
         raise ValueError("K must be positive")
@@ -454,19 +453,13 @@ def dirichlet_eigenvalue_upper(R, n: int, K: float, ledger: ConstantLedger | Non
                 note="squared first zero of the Bessel function of order n/2 - 1",
             )
     x = math.sqrt(K) * R
-    # series below x = 1e-6; beyond x = 300 the sinh term is below 1e-260 K and
-    # dropped.  Scalars take math: the golden-section search calls this per radius.
-    if scalar:
-        if x < 1e-6:
-            corr = K * (1.0 / 3.0 - x * x / 15.0)
-        else:
-            corr = 1.0 / R**2 - (K / math.sinh(x) ** 2 if x < 300.0 else 0.0)
-    else:
-        sh = np.sinh(np.clip(x, 1e-6, 300.0))
-        tail = np.where(x < 300.0, K / sh**2, 0.0)
-        corr = np.where(x < 1e-6, K * (1.0 / 3.0 - x * x / 15.0), 1.0 / R**2 - tail)
+    # series below x = 1e-6; beyond x = 300 the sinh term is below 1e-260 K and dropped
+    sh = np.sinh(np.minimum(np.maximum(x, 1e-6), 300.0))
+    tail = np.where(x < 300.0, K / sh**2, 0.0)
+    corr = np.where(x < 1e-6, K * (1.0 / 3.0 - x * x / 15.0), 1.0 / R**2 - tail)
     c_curv = (n - 1) ** 2 * K / 4.0 + ((n - 2) ** 2 / 4.0 + 0.25) * corr
-    return cn / R**2 + c_curv
+    out = cn / R**2 + c_curv
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def q_lower(
