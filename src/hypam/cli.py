@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .hyperbolic import (
     brownian_step,
     distance_coords,
     heat_kernel_log_values,
-    heat_semigroup_apply,
+    radial_walk,
 )
 from .kernels import (
     calibrate_lower_constant,
@@ -319,21 +320,12 @@ def cmd_bm_sample(args, config: dict) -> int:
             path.to_csv(f)
         outputs.append(p)
     # ensemble radial statistics at ten checkpoints
-    rng = stream_generator(seed, 0)
-    X = np.broadcast_to(x0.coords, (n_paths, n + 1)).copy()
     checkpoints = np.linspace(t_end / 10.0, t_end, 10)
-    rows = []
-    prev = 0.0
-    for t in checkpoints:
-        m = max(1, int(math.ceil((t - prev) / dt - 1e-9)))
-        h = (t - prev) / m
-        for _ in range(m):
-            X = brownian_step(X, rng, h, K)
-        d = distance_coords(X, x0.coords, K)
-        rows.append(
-            [float(t), float(d.mean()), float(d.std(ddof=1)), float(d.mean() / t), (n - 1) * math.sqrt(K)]
-        )
-        prev = t
+    ts, d_all, _ = radial_walk(x0, checkpoints, dt, n_paths, seed, int(mc["workers"]))
+    rows = [
+        [t, float(d.mean()), float(d.std(ddof=1)), float(d.mean() / t), (n - 1) * math.sqrt(K)]
+        for t, d in zip(ts, d_all)
+    ]
     outputs.append(
         _write_table(
             out / "radial_stats",
@@ -425,14 +417,12 @@ def cmd_phase_diagram(args, config: dict) -> int:
     ledger = build_ledger(config)
     r = _r_value(config["moment"]["r"])
     bcfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
-    from dataclasses import replace as _replace
-
     betas = np.geomspace(0.1, 100.0, 13)
     ps = list(range(2, 9))
     rows = []
     for b in betas:
         for p in ps:
-            low = lower_lyapunov(p, float(b), _replace(spec, beta=float(b)), ledger)
+            low = lower_lyapunov(p, float(b), replace(spec, beta=float(b)), ledger)
             up = upper_exponent(p, float(b), bcfg)
             rows.append([float(b), p, low, int(low > 0.0), up, int(up > 0.0)])
     outputs = [

@@ -13,10 +13,8 @@ the pairwise kernel integrals by the trapezoid rule (the s = 0 node is capped
 at the kernel's floor value, a downward bias since the kernel is decreasing),
 and averages exp(beta^2 S) in the log domain.
 
-Replicates are organized in fixed-size blocks; block b draws its randomness
-from a generator seeded by (master seed, b) regardless of how many workers
-consume the blocks.  Results are therefore bitwise independent of the worker
-count and of scheduling order.
+Paths come from the blocked engine of :mod:`hypam.hyperbolic`, so results are
+bitwise independent of the worker count and of scheduling order.
 
 The analytic half evaluates the moment lower bound
 
@@ -30,17 +28,25 @@ from it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import jv
 
-from .hyperbolic import ModelPoint, RadialProfile, brownian_step, distance_coords
+from .hyperbolic import (
+    BLOCK_SIZE,
+    ModelPoint,
+    RadialProfile,
+    distance_coords,
+    radial_walk,
+    run_blocks,
+    time_grid,
+    walk_block,
+)
 from .kernels import KernelGrid, NoiseSpec, g_alpha_lower
 from .ledger import ConstantLedger
-from .rng import stream_generator
+from .renewal import Regime, regime_of
 
 __all__ = [
     "BLOCK_SIZE",
@@ -62,10 +68,6 @@ __all__ = [
     "asymptotic_slope_check",
     "ball_survival_probability",
 ]
-
-# replicates per seed block; fixed so estimates do not depend on worker count
-BLOCK_SIZE = 1024
-
 
 @dataclass(frozen=True)
 class FkConfig:
@@ -139,26 +141,6 @@ class RatioPoint:
     log_stderr: float
 
 
-def _time_grid(checkpoints, dt: float):
-    """Step sizes that land on every checkpoint exactly, none exceeding dt.
-
-    Returns (sizes, cp_steps, ts): all step sizes in order, the cumulative
-    step count at each checkpoint, and the sorted checkpoint times."""
-    ts = sorted({float(t) for t in np.atleast_1d(np.asarray(checkpoints, dtype=float))})
-    if not ts or ts[0] <= 0.0:
-        raise ValueError("checkpoint times must be positive")
-    sizes: list[float] = []
-    cp_steps: list[int] = []
-    prev = 0.0
-    for t in ts:
-        seg = t - prev
-        m = max(1, int(math.ceil(seg / dt - 1e-9)))
-        sizes.extend([seg / m] * m)
-        cp_steps.append(len(sizes))
-        prev = t
-    return np.asarray(sizes), cp_steps, ts
-
-
 _GRID_CACHE: dict[tuple, KernelGrid] = {}
 
 
@@ -202,23 +184,18 @@ def _simulate_block(cfg, block_index, block_size, sizes, cp_steps, grid):
     checkpoint c.  Randomness comes only from (cfg.seed, block_index)."""
     spec = cfg.spec
     n, K, p = spec.n, spec.K, cfg.p
-    rng = stream_generator(cfg.seed, block_index)
     base = ModelPoint.basepoint(n, K).coords
-    X = np.broadcast_to(base, (block_size, p, n + 1)).copy()
     pairs = _pair_list(p)
     s_accum = np.zeros((block_size, len(pairs)))
     k_prev = np.full((block_size, len(pairs)), grid(0.0))
-    cp_at = {s: c for c, s in enumerate(cp_steps)}
     lu = np.empty((len(cp_steps), block_size, p))
     sp = np.empty((len(cp_steps), block_size, len(pairs)))
-    for step, h in enumerate(sizes, start=1):
-        X = brownian_step(X, rng, float(h), K)
+    for h, X, c in walk_block(base, (block_size, p), cfg.seed, block_index, sizes, cp_steps, K):
         k_cur = np.empty_like(k_prev)
         for m, (i, k) in enumerate(pairs):
             k_cur[:, m] = grid(distance_coords(X[:, i, :], X[:, k, :], K))
         s_accum += (0.5 * h) * (k_prev + k_cur)
         k_prev = k_cur
-        c = cp_at.get(step)
         if c is not None:
             with np.errstate(divide="ignore"):
                 lu[c] = np.log(cfg.u0.value(distance_coords(X, base, K)))
@@ -228,17 +205,11 @@ def _simulate_block(cfg, block_index, block_size, sizes, cp_steps, grid):
 
 def _run_blocks(cfg: FkConfig, sizes, cp_steps, grid, workers: int):
     """Simulate all blocks (in parallel if asked) and concatenate in block order."""
-    n_blocks = (cfg.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def work(b: int):
-        size = min(BLOCK_SIZE, cfg.n_paths - b * BLOCK_SIZE)
-        return _simulate_block(cfg, b, size, sizes, cp_steps, grid)
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(n_blocks)))
-    else:
-        results = [work(b) for b in range(n_blocks)]
+    results = run_blocks(
+        cfg.n_paths,
+        workers,
+        lambda b, size: _simulate_block(cfg, b, size, sizes, cp_steps, grid),
+    )
     lu = np.concatenate([r[0] for r in results], axis=1)
     sp = np.concatenate([r[1] for r in results], axis=1)
     return lu, sp
@@ -277,7 +248,7 @@ def moment_series(
     ledger: ConstantLedger | None = None,
 ) -> list[MomentEstimate]:
     """Moment estimates at each checkpoint time from one shared path ensemble."""
-    sizes, cp_steps, ts = _time_grid(t_grid, cfg.dt)
+    sizes, cp_steps, ts = time_grid(t_grid, cfg.dt)
     grid = _pair_kernel_grid(cfg, ts[-1], ledger)
     lu, sp = _run_blocks(cfg, sizes, cp_steps, grid, workers)
     beta2 = cfg.spec.beta**2
@@ -341,7 +312,7 @@ def chaos_k1_estimate(
         kernel_mode=kernel_mode,
         delta_floor=delta_floor,
     )
-    sizes, cp_steps, ts = _time_grid([t], dt)
+    sizes, cp_steps, ts = time_grid([t], dt)
     grid = _pair_kernel_grid(cfg, ts[-1], ledger)
     _, sp = _run_blocks(cfg, sizes, cp_steps, grid, workers)
     s_vals = 2.0 * sp[0].sum(axis=1)
@@ -394,7 +365,7 @@ def intermittency_ratio(
         raise ValueError("need integer moment orders 2 <= q <= p")
     if cfg.p != p:
         cfg = replace(cfg, p=int(p))
-    sizes, cp_steps, ts = _time_grid(t_grid, cfg.dt)
+    sizes, cp_steps, ts = time_grid(t_grid, cfg.dt)
     if q == p:
         return [RatioPoint(t, 1.0, 0.0, 0.0, 0.0) for t in ts]
     grid = _pair_kernel_grid(cfg, ts[-1], ledger)
@@ -651,15 +622,6 @@ class SlopeReport:
     passed: bool | None
 
 
-def _case_of(spec: NoiseSpec) -> str:
-    quarter = spec.n / 4.0
-    if spec.alpha < quarter:
-        return "A"
-    if spec.alpha == quarter:
-        return "B"
-    return "C"
-
-
 def asymptotic_slope_check(
     axis: str,
     grid,
@@ -682,7 +644,7 @@ def asymptotic_slope_check(
     fit_var = grid * (grid - 1.0) if axis == "p" else grid
     if len(grid) < 2 or fit_var.max() < 10.0 * fit_var.min():
         raise ValueError("grid must span at least one decade")
-    case = _case_of(spec)
+    case = {Regime.POWER: "A", Regime.LOG: "B", Regime.FLAT: "C"}[regime_of(spec.alpha, spec.n)]
     a, n = spec.alpha, spec.n
     if axis == "beta":
         p = int(p_or_beta)
@@ -743,17 +705,5 @@ def ball_survival_probability(
     resolution, so survival is slightly overestimated for coarse dt)."""
     if not (R > 0.0):
         raise ValueError("R must be positive")
-    sizes, cp_steps, ts = _time_grid(t_grid, dt)
-    rng = stream_generator(seed, 0)
-    base = ModelPoint.basepoint(int(n), K).coords
-    X = np.broadcast_to(base, (int(n_paths), int(n) + 1)).copy()
-    alive = np.ones(int(n_paths), dtype=bool)
-    cp_at = {s: c for c, s in enumerate(cp_steps)}
-    out = np.empty(len(ts))
-    for step, h in enumerate(sizes, start=1):
-        X = brownian_step(X, rng, float(h), K)
-        alive &= distance_coords(X, base, K) <= R
-        c = cp_at.get(step)
-        if c is not None:
-            out[c] = alive.mean()
-    return out
+    _, _, d_max = radial_walk(ModelPoint.basepoint(int(n), K), t_grid, dt, int(n_paths), seed, 1)
+    return np.count_nonzero(d_max <= R, axis=1) / int(n_paths)

@@ -27,15 +27,17 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, IO
 
 import numpy as np
 
-from . import specialfn
+from .rng import stream_generator
 from .specialfn import QuadratureSpec, dm_h_log, integrate
 
 __all__ = [
+    "BLOCK_SIZE",
     "BracketMode",
     "HeatKernelMode",
     "KernelBracket",
@@ -51,6 +53,10 @@ __all__ = [
     "tangent_at",
     "renormalize_coords",
     "brownian_step",
+    "time_grid",
+    "run_blocks",
+    "walk_block",
+    "radial_walk",
     "brownian_path",
     "heat_kernel",
     "heat_kernel_log_values",
@@ -273,18 +279,73 @@ def brownian_step(
     return renormalize_coords(exp_map_coords(X, V, K, norm=r), K)
 
 
-def _step_sizes(t_end: float, dt: float) -> np.ndarray:
-    """Uniform steps of size dt, with one trailing partial step if needed."""
-    if not (dt > 0.0 and t_end > 0.0):
-        raise ValueError("t_end and dt must be positive")
-    if dt > t_end + 1e-12 * t_end:
-        raise ValueError("dt must not exceed t_end")
-    m = int(math.floor(t_end / dt + 1e-9))
-    sizes = [dt] * m
-    rem = t_end - m * dt
-    if rem > 1e-9 * dt:
-        sizes.append(rem)
-    return np.asarray(sizes)
+# ---------------------------------------------------------------------------
+# the path-ensemble engine behind every Monte Carlo route: paths come in blocks
+# of BLOCK_SIZE and block b draws only from stream (seed, b), so results do not
+# depend on the worker count or on the order in which blocks are run
+
+BLOCK_SIZE = 1024
+
+
+def time_grid(checkpoints, dt: float):
+    """Step sizes that land on every checkpoint exactly, none exceeding dt.
+
+    Each segment between checkpoints is cut into equal steps.  Returns
+    (sizes, cp_steps, ts): all step sizes in order, the cumulative step count
+    at each checkpoint, and the sorted checkpoint times."""
+    if not (dt > 0.0):
+        raise ValueError("time step dt must be positive")
+    ts = np.unique(np.asarray(checkpoints, dtype=float))
+    if not (ts.size and ts[0] > 0.0 and math.isfinite(ts[-1])):
+        raise ValueError("checkpoint times must be positive and finite")
+    seg = np.diff(ts, prepend=0.0)
+    m = np.maximum(1.0, np.ceil(seg / dt - 1e-9)).astype(int)
+    return np.repeat(seg / m, m), np.cumsum(m).tolist(), ts.tolist()
+
+
+def run_blocks(n_paths: int, workers: int, block: Callable) -> list:
+    """block(b, size) for every block of the n_paths paths (the last one
+    ragged), on `workers` threads; the results come back in block order."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    starts = range(0, n_paths, BLOCK_SIZE)
+    counts = [min(BLOCK_SIZE, n_paths - s) for s in starts]
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(block, range(len(starts)), counts))
+    return list(map(block, range(len(starts)), counts))
+
+
+def walk_block(x0: np.ndarray, shape: tuple, seed: int, block: int, sizes, cp_steps, K: float):
+    """Step copies of the coordinates x0, one per index of `shape`, through
+    the step sizes with stream (seed, block).  Yields (h, X, c) after each
+    step: its size, the positions, and the checkpoint it ends on, or None."""
+    rng = stream_generator(seed, block)
+    X = np.broadcast_to(x0, shape + x0.shape).copy()
+    cp_at = {s: c for c, s in enumerate(cp_steps)}
+    for step, h in enumerate(sizes, start=1):
+        X = brownian_step(X, rng, float(h), K)
+        yield h, X, cp_at.get(step)
+
+
+def radial_walk(x0: ModelPoint, checkpoints, dt: float, n_paths: int, seed: int, workers: int):
+    """(ts, d, d_max) for n_paths Brownian paths from x0: d[c, j] is path j's
+    distance from x0 at checkpoint c and d_max[c, j] the largest distance it
+    reached at any step up to then."""
+    sizes, cp_steps, ts = time_grid(checkpoints, dt)
+
+    def block(b: int, size: int) -> np.ndarray:
+        out = np.empty((2, len(ts), size))
+        d_max = np.zeros(size)
+        for _, X, c in walk_block(x0.coords, (size,), seed, b, sizes, cp_steps, x0.K):
+            d = distance_coords(X, x0.coords, x0.K)
+            d_max = np.maximum(d_max, d)
+            if c is not None:
+                out[:, c] = d, d_max
+        return out
+
+    d, d_max = np.concatenate(run_blocks(n_paths, workers, block), axis=2)
+    return ts, d, d_max
 
 
 @dataclass
@@ -308,16 +369,17 @@ class BrownianPath:
             f.write(f"{k},{format(float(t), '.17g')},{vals}\n")
 
 
-def brownian_path(x0: ModelPoint, t_end: float, dt: float, seed) -> BrownianPath:
-    """Sample one Brownian path started at x0, stored at every step."""
-    rng = np.random.default_rng(seed)
-    sizes = _step_sizes(t_end, dt)
-    points = np.empty((len(sizes) + 1, x0.n + 1))
-    points[0] = x0.coords
-    X = x0.coords[None, :]
-    for k, h in enumerate(sizes):
-        X = brownian_step(X, rng, float(h), x0.K)
-        points[k + 1] = X[0]
+def brownian_path(x0: ModelPoint, t_end: float, dt: float, seed: int) -> BrownianPath:
+    """Sample one Brownian path started at x0, stored at every step: steps of
+    dt, then one partial step to t_end if dt does not divide it.  The path is
+    block 0 of a one-path ensemble."""
+    if not (0.0 < dt <= t_end * (1.0 + 1e-12)):
+        raise ValueError("need 0 < dt <= t_end")
+    m = int(math.floor(t_end / dt + 1e-9))
+    checkpoints = [m * dt, t_end] if t_end - m * dt > 1e-9 * dt else [t_end]
+    sizes, cp_steps, _ = time_grid(checkpoints, dt)
+    steps = walk_block(x0.coords, (1,), seed, 0, sizes, cp_steps, x0.K)
+    points = np.array([x0.coords] + [X[0] for _, X, _ in steps])
     times = np.concatenate([[0.0], np.cumsum(sizes)])
     return BrownianPath(times=times, points=points, n=x0.n, K=x0.K, seed=seed)
 
@@ -486,12 +548,8 @@ def heat_semigroup_apply(
         return integrate(f, 0.0, hi, q, split_points=splits)
     if method in ("mc", "monte-carlo"):
         h = dt if dt is not None else 0.01 / max(1.0, K)
-        sizes = _step_sizes(t, h)
-        rng = np.random.default_rng(seed)
-        X = np.tile(x.coords, (n_paths, 1))
-        for step in sizes:
-            X = brownian_step(X, rng, float(step), K)
-        vals = u0.value(distance_coords(X, x.coords[None, :], K))
+        _, d, _ = radial_walk(x, [t], h, n_paths, seed, 1)
+        vals = u0.value(d[0])
         mean = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
         return mean, stderr

@@ -1,0 +1,64 @@
+"""The benchmark's layer tracer (bench/tracer.py) still finds what it patches.
+
+The tracer names hypam functions by module and attribute and reads the
+arguments of fkmc._simulate_block by position, so a rename or a signature
+change would silently empty its layers; these tests catch that."""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import hypam.cli  # noqa: F401  the tracer patches every loaded hypam module
+from hypam import FkConfig, NoiseSpec, RadialProfile, fkmc, moment_estimate
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer() -> types.ModuleType:
+    # exec the source rather than import it, so nothing is written under bench/
+    module = types.ModuleType("bench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+TRACER = load_tracer()
+
+
+@pytest.mark.parametrize("hook", sorted({**TRACER.SPANS, **TRACER.COUNTS}), ids=str)
+def test_hook_resolves(hook):
+    mod_name, attr = hook
+    target = importlib.import_module(mod_name)
+    for part in attr.split("."):
+        target = getattr(target, part)
+    assert callable(target)
+
+
+def test_sim_span_counts_block_steps():
+    cfg = FkConfig(
+        spec=NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0),
+        p=2,
+        t_end=0.05,
+        dt=0.01,
+        n_paths=100,
+        seed=1,
+        u0=RadialProfile.constant(1.0),
+    )
+    original = fkmc._simulate_block
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "probe"
+        moment_estimate(cfg)
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    assert fkmc._simulate_block is original
+    totals = TRACER.layer_totals(tracer)["probe"]
+    assert totals["fkmc.run_blocks"]["calls"] == 1
+    assert totals["fkmc.sim"]["calls"] == 1
+    assert totals["fkmc.sim"]["points"] == 100 * 5  # block_size x steps
+    assert totals["hyperbolic.brownian_step"]["points"] == 100 * 2 * 5
+    assert totals["rng.stream_generator"]["calls"] == 1

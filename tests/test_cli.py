@@ -90,6 +90,10 @@ class TestExitCodes:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_empty_ensemble_returns_2(self, tmp_path, capsys):
+        assert run("bm-sample", "--out", tmp_path, "--set", "mc.n_paths=0") == 2
+        assert capsys.readouterr().err == "error: n_paths must be at least 1\n"
+
     def test_missing_config_file_returns_2(self, tmp_path):
         assert run("bounds", "--out", tmp_path, "--config", tmp_path / "nope.json") == 2
 

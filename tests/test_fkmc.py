@@ -391,3 +391,9 @@ class TestBallSurvival:
     def test_validation(self):
         with pytest.raises(ValueError):
             ball_survival_probability(0.0, 3, 1.0, [0.1], 0.01, 64, seed=1)
+
+    def test_bad_step_and_path_count(self):
+        with pytest.raises(ValueError, match="dt"):
+            ball_survival_probability(1.0, 3, 1.0, [0.1], 0.0, 64, seed=1)
+        with pytest.raises(ValueError, match="n_paths"):
+            ball_survival_probability(1.0, 3, 1.0, [0.1], 0.01, 0, seed=1)

@@ -22,7 +22,14 @@ from hypam import (
     stream_generator,
     tangent_at,
 )
-from hypam.hyperbolic import distance, heat_kernel_log_values
+from hypam.hyperbolic import (
+    BLOCK_SIZE,
+    distance,
+    heat_kernel_log_values,
+    run_blocks,
+    time_grid,
+    walk_block,
+)
 
 
 def random_points(n, K, count, rng, scale=2.0):
@@ -231,6 +238,40 @@ class TestBrownianPath:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "step,time,coord_0,coord_1,coord_2"
         assert len(lines) == len(p.times) + 1
+
+
+class TestPathEngine:
+    @staticmethod
+    def checkpoint_positions(n_paths, workers):
+        o = ModelPoint.basepoint(3, 1.0)
+        sizes, cp_steps, _ = time_grid([0.02, 0.05], 0.01)
+
+        def block(b, size):
+            out = np.empty((len(cp_steps), size, 4))
+            for _, X, c in walk_block(o.coords, (size,), 17, b, sizes, cp_steps, 1.0):
+                if c is not None:
+                    out[c] = X
+            return out
+
+        return run_blocks(n_paths, workers, block)
+
+    def test_block_contract(self):
+        # block b sees only stream (seed, b): its paths do not depend on how
+        # many blocks follow it or on how many threads run them
+        single = self.checkpoint_positions(BLOCK_SIZE, 1)
+        ragged = self.checkpoint_positions(2 * BLOCK_SIZE + 1, 1)
+        assert [r.shape[1] for r in ragged] == [BLOCK_SIZE, BLOCK_SIZE, 1]
+        assert np.array_equal(single[0], ragged[0])
+        assert not np.array_equal(ragged[0], ragged[1])
+        threaded = self.checkpoint_positions(2 * BLOCK_SIZE + 1, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(ragged, threaded))
+
+    def test_time_grid_lands_on_checkpoints(self):
+        sizes, cp_steps, ts = time_grid([0.25, 0.1], 0.04)
+        assert ts == [0.1, 0.25]
+        assert cp_steps == [3, 7]
+        assert np.cumsum(sizes)[[2, 6]] == pytest.approx([0.1, 0.25], abs=1e-15)
+        assert sizes.max() <= 0.04
 
 
 class TestHeatKernel:
