@@ -1,10 +1,10 @@
 """Reproducible experiment runner over the toolkit.
 
 Every subcommand reads one configuration tree (JSON file plus dotted-key
-overrides), writes plain CSV/JSON-lines outputs into an output directory, and
-drops an experiment manifest beside them: the full configuration echo, the
-master seed, every ledger constant with its provenance, and a content digest
-per output file.  Re-running a subcommand with an identical manifest
+overrides) and computes its plain CSV/JSON-lines outputs; only then does
+``main`` create the output directory, write them, and drop an experiment
+manifest beside them: the full configuration echo, the master seed, every
+ledger constant with its provenance, and a content digest per output file.  Re-running a subcommand with an identical manifest
 reproduces the numeric outputs byte for byte (wall-time fields aside).
 """
 
@@ -14,6 +14,7 @@ import argparse
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -35,6 +36,7 @@ from .fkmc import (
     p_critical,
 )
 from .hyperbolic import (
+    BracketMode,
     HeatKernelMode,
     ModelPoint,
     RadialProfile,
@@ -57,17 +59,6 @@ from .rng import stream_generator
 from .specialfn import QuadratureSpec, gamma_lower, gamma_upper, integrate
 
 __all__ = ["main", "DEFAULT_CONFIG", "load_config", "ConfigError"]
-
-SUBCOMMANDS = (
-    "kernel-table",
-    "bm-sample",
-    "moment-mc",
-    "bounds",
-    "phase-diagram",
-    "slope-check",
-    "intermittency",
-    "validate",
-)
 
 DEFAULT_CONFIG: dict = {
     "model": {"n": 3, "K": 1.0},
@@ -167,10 +158,6 @@ def build_spec(config: dict) -> NoiseSpec:
     return NoiseSpec(alpha=float(w["alpha"]), beta=float(w["beta"]), n=int(m["n"]), K=float(m["K"]))
 
 
-def build_ledger(config: dict) -> ConstantLedger:
-    return ConstantLedger(config["constants"])
-
-
 def build_u0(config: dict) -> RadialProfile:
     u = config["u0"]
     if u["kind"] == "constant":
@@ -212,62 +199,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_table(path: Path, header: list[str], rows: list, fmt: str) -> Path:
-    """One tabular output, as CSV or as JSON-lines keyed by the header."""
+def _table(stem: str, header: list[str], rows: list, fmt: str) -> tuple[str, str]:
+    """One tabular output as (file name, text): CSV, or JSON-lines keyed by the header."""
     if fmt == "jsonl":
-        path = path.with_suffix(".jsonl")
-        with open(path, "w") as f:
-            for row in rows:
-                f.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
-        return path
-    path = path.with_suffix(".csv")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    return path
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True) + "\n" for row in rows]
+        return stem + ".jsonl", "".join(lines)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
+    return stem + ".csv", buf.getvalue()
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(
-    out_dir: Path,
-    subcommand: str,
-    config: dict,
-    ledger: ConstantLedger,
-    outputs: list[Path],
-    t0: float,
-) -> None:
-    manifest = {
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "master_seed": int(config["mc"]["seed"]),
-        "constant_ledger": ledger.as_dict(),
-        "outputs": [
-            {"path": p.name, "sha256": _digest(p)} for p in sorted(outputs, key=lambda p: p.name)
-        ],
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _out_dir(args) -> Path:
-    d = Path(args.out) if args.out else Path(f"hypam-{args.subcommand}")
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def cmd_kernel_table(args, config: dict) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
+def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     spec = build_spec(config)
-    ledger = build_ledger(config)
     n, K = spec.n, spec.K
     sk = math.sqrt(K)
     d_grid = np.geomspace(1e-3 / sk, 10.0 / sk, 200)
@@ -276,49 +225,38 @@ def cmd_kernel_table(args, config: dict) -> int:
         if n == 3
         else HeatKernelMode.dm_upper(ledger.value("dm_upper_C"))
     )
+    header = ["d", "value", "mode", "alpha", "n", "K"]
     bracket = mode.bracket.value
     values = np.exp(g_alpha_log_values(spec, d_grid, mode))
     rows = [[float(d), float(v), bracket, spec.alpha, n, K] for d, v in zip(d_grid, values)]
-    outputs = [_write_table(out / "g_alpha", ["d", "value", "mode", "alpha", "n", "K"], rows, args.format)]
+    files = [_table("g_alpha", header, rows, args.format)]
     # pin the lower-bound constant against the exact kernel on the emitted
     # grid, unless the user supplied one; the manifest ledger records which
     if n == 3 and ledger.entry("gbar_C").provenance == "default":
         calibrate_lower_constant(spec, ledger, d_grid=d_grid)
     lower_vals = g_alpha_lower(spec, d_grid, ledger)
-    rows = [
-        [float(d), float(v), "LOWER", spec.alpha, n, K]
-        for d, v in zip(d_grid, lower_vals)
-    ]
-    outputs.append(
-        _write_table(out / "g_alpha_lower", ["d", "value", "mode", "alpha", "n", "K"], rows, args.format)
-    )
+    lower = BracketMode.LOWER.value
+    rows = [[float(d), float(v), lower, spec.alpha, n, K] for d, v in zip(d_grid, lower_vals)]
+    files.append(_table("g_alpha_lower", header, rows, args.format))
     rows = []
     for t in (0.1, 1.0, 5.0):
         values = np.exp(heat_kernel_log_values(t, d_grid, n, K, mode))
         rows += [[float(d), t, float(v), bracket, n, K] for d, v in zip(d_grid, values)]
-    outputs.append(
-        _write_table(out / "heat_kernel", ["d", "t", "value", "mode", "n", "K"], rows, args.format)
-    )
-    _write_manifest(out, args.subcommand, config, ledger, outputs, t0)
-    return 0
+    files.append(_table("heat_kernel", ["d", "t", "value", "mode", "n", "K"], rows, args.format))
+    return 0, dict(files)
 
 
-def cmd_bm_sample(args, config: dict) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
-    ledger = build_ledger(config)
+def cmd_bm_sample(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     n, K = int(config["model"]["n"]), float(config["model"]["K"])
     mc = config["mc"]
     t_end, dt, seed = float(mc["t_end"]), float(mc["dt"]), int(mc["seed"])
     n_paths = int(mc["n_paths"])
     x0 = ModelPoint.basepoint(n, K)
-    outputs = []
+    files = []
     for k in range(min(3, n_paths)):
-        path = brownian_path(x0, t_end, dt, seed=seed + k)
-        p = out / f"path_{k}.csv"
-        with open(p, "w", newline="") as f:
-            path.to_csv(f)
-        outputs.append(p)
+        buf = io.StringIO()
+        brownian_path(x0, t_end, dt, seed=seed + k).to_csv(buf)
+        files.append((f"path_{k}.csv", buf.getvalue()))
     # ensemble radial statistics at ten checkpoints
     checkpoints = np.linspace(t_end / 10.0, t_end, 10)
     ts, d_all, _ = radial_walk(x0, checkpoints, dt, n_paths, seed, int(mc["workers"]))
@@ -326,16 +264,9 @@ def cmd_bm_sample(args, config: dict) -> int:
         [t, float(d.mean()), float(d.std(ddof=1)), float(d.mean() / t), (n - 1) * math.sqrt(K)]
         for t, d in zip(ts, d_all)
     ]
-    outputs.append(
-        _write_table(
-            out / "radial_stats",
-            ["t", "mean_distance", "std_distance", "mean_speed", "asymptotic_speed"],
-            rows,
-            args.format,
-        )
-    )
-    _write_manifest(out, args.subcommand, config, ledger, outputs, t0)
-    return 0
+    header = ["t", "mean_distance", "std_distance", "mean_speed", "asymptotic_speed"]
+    files.append(_table("radial_stats", header, rows, args.format))
+    return 0, dict(files)
 
 
 def _estimate_record(kind: str, config: dict, est) -> dict:
@@ -350,11 +281,9 @@ def _estimate_record(kind: str, config: dict, est) -> dict:
     }
 
 
-def cmd_moment_mc(args, config: dict) -> int:
+def cmd_moment_mc(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     t0 = time.perf_counter()
     _require_dalang(config)
-    out = _out_dir(args)
-    ledger = build_ledger(config)
     cfg = build_fk(config)
     workers = int(config["mc"]["workers"])
     est = moment_estimate(cfg, workers=workers, ledger=ledger)
@@ -372,21 +301,13 @@ def cmd_moment_mc(args, config: dict) -> int:
         )
         records.append(_estimate_record("chaos_k1", config, chaos))
     wall = time.perf_counter() - t0
-    p = out / "estimates.jsonl"
-    with open(p, "w") as f:
-        for rec in records:
-            rec["wall_time_s"] = wall
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-    _write_manifest(out, args.subcommand, config, ledger, [p], t0)
-    return 0
+    lines = [json.dumps({**rec, "wall_time_s": wall}, sort_keys=True) + "\n" for rec in records]
+    return 0, {"estimates.jsonl": "".join(lines)}
 
 
-def cmd_bounds(args, config: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_bounds(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    out = _out_dir(args)
     spec = build_spec(config)
-    ledger = build_ledger(config)
     r = _r_value(config["moment"]["r"])
     cfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
     p = int(config["moment"]["p"])
@@ -397,24 +318,17 @@ def cmd_bounds(args, config: dict) -> int:
         th = theta(float(b), cfg)
         ue = upper_exponent(p, float(b), cfg)
         rows.append([float(b), p, r, th, ue, int(i)])
-    outputs = [
-        _write_table(
-            out / "bounds", ["beta", "p", "r", "theta", "upper_exponent", "regime"], rows, args.format
-        )
-    ]
+    header = ["beta", "p", "r", "theta", "upper_exponent", "regime"]
+    files = [_table("bounds", header, rows, args.format)]
     rho_grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
     rows = [[float(rho), f_profile(i, float(rho), cfg), int(i)] for rho in rho_grid]
-    outputs.append(_write_table(out / "fprofile", ["rho", "f_value", "regime"], rows, args.format))
-    _write_manifest(out, args.subcommand, config, ledger, outputs, t0)
-    return 0
+    files.append(_table("fprofile", ["rho", "f_value", "regime"], rows, args.format))
+    return 0, dict(files)
 
 
-def cmd_phase_diagram(args, config: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_phase_diagram(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    out = _out_dir(args)
     spec = build_spec(config)
-    ledger = build_ledger(config)
     r = _r_value(config["moment"]["r"])
     bcfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
     betas = np.geomspace(0.1, 100.0, 13)
@@ -425,28 +339,18 @@ def cmd_phase_diagram(args, config: dict) -> int:
             low = lower_lyapunov(p, float(b), replace(spec, beta=float(b)), ledger)
             up = upper_exponent(p, float(b), bcfg)
             rows.append([float(b), p, low, int(low > 0.0), up, int(up > 0.0)])
-    outputs = [
-        _write_table(
-            out / "phase",
-            ["beta", "p", "lower_exponent", "lower_positive", "upper_exponent", "upper_positive"],
-            rows,
-            args.format,
-        )
-    ]
+    header = ["beta", "p", "lower_exponent", "lower_positive", "upper_exponent", "upper_positive"]
+    files = [_table("phase", header, rows, args.format)]
     rows = [[p, beta_critical(p, spec, ledger)] for p in ps]
-    outputs.append(_write_table(out / "beta_critical", ["p", "beta_c"], rows, args.format))
+    files.append(_table("beta_critical", ["p", "beta_c"], rows, args.format))
     rows = [[float(b), p_critical(float(b), spec, ledger)] for b in np.geomspace(0.5, 100.0, 9)]
-    outputs.append(_write_table(out / "p_critical", ["beta", "p_c"], rows, args.format))
-    _write_manifest(out, args.subcommand, config, ledger, outputs, t0)
-    return 0
+    files.append(_table("p_critical", ["beta", "p_c"], rows, args.format))
+    return 0, dict(files)
 
 
-def cmd_slope_check(args, config: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_slope_check(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    out = _out_dir(args)
     spec = build_spec(config)
-    ledger = build_ledger(config)
     if args.axis == "beta":
         grid = np.geomspace(1e2, 1e4, 9)
         fixed = int(config["moment"]["p"])
@@ -455,51 +359,29 @@ def cmd_slope_check(args, config: dict) -> int:
         fixed = float(config["noise"]["beta"])
     report = asymptotic_slope_check(args.axis, grid, fixed, spec, ledger)
     rows = list(zip(report.grid, report.exponents))
-    outputs = [
-        _write_table(out / "slope_check", [args.axis, "lower_exponent"], rows, args.format)
-    ]
-    p = out / "slope_report.json"
-    with open(p, "w") as f:
-        json.dump(
-            {
-                "axis": report.axis,
-                "case": report.case,
-                "fitted_slope": report.fitted_slope,
-                "claimed_slope": report.claimed_slope,
-                "balance_slope": report.balance_slope,
-                "ratio_spread": report.ratio_spread,
-                "passed": report.passed,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
-    outputs.append(p)
-    _write_manifest(out, args.subcommand, config, ledger, outputs, t0)
-    return 1 if report.passed is False else 0
+    files = [_table("slope_check", [args.axis, "lower_exponent"], rows, args.format)]
+    summary = {
+        "axis": report.axis,
+        "case": report.case,
+        "fitted_slope": report.fitted_slope,
+        "claimed_slope": report.claimed_slope,
+        "balance_slope": report.balance_slope,
+        "ratio_spread": report.ratio_spread,
+        "passed": report.passed,
+    }
+    files.append(("slope_report.json", _json(summary)))
+    return 1 if report.passed is False else 0, dict(files)
 
 
-def cmd_intermittency(args, config: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_intermittency(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    out = _out_dir(args)
-    ledger = build_ledger(config)
     cfg = build_fk(config)
     workers = int(config["mc"]["workers"])
     t_grid = [cfg.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
     series = intermittency_ratio(cfg.p, int(args.q), t_grid, cfg, workers=workers, ledger=ledger)
     rows = [[pt.t, pt.ratio, pt.stderr, pt.log_ratio, pt.log_stderr] for pt in series]
-    outputs = [
-        _write_table(
-            out / "intermittency",
-            ["t", "ratio", "stderr", "log_ratio", "log_stderr"],
-            rows,
-            args.format,
-        )
-    ]
-    _write_manifest(out, args.subcommand, config, ledger, outputs, t0)
-    return 0
+    header = ["t", "ratio", "stderr", "log_ratio", "log_stderr"]
+    return 0, dict([_table("intermittency", header, rows, args.format)])
 
 
 def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
@@ -609,44 +491,32 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_validate(args, config: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_validate(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    out = _out_dir(args)
-    ledger = build_ledger(config)
     checks = _validate_checks(config, args.quick)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
     for name, ok, detail in checks:
         all_ok &= ok
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    p = out / "validate.json"
-    with open(p, "w") as f:
-        json.dump(
-            {
-                "checks": [
-                    {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
-                ],
-                "all_passed": all_ok,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
-    _write_manifest(out, args.subcommand, config, ledger, [p], t0)
-    return 0 if all_ok else 1
+    summary = {
+        "checks": [{"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks],
+        "all_passed": all_ok,
+    }
+    return 0 if all_ok else 1, {"validate.json": _json(summary)}
 
 
-_DISPATCH = {
-    "kernel-table": cmd_kernel_table,
-    "bm-sample": cmd_bm_sample,
-    "moment-mc": cmd_moment_mc,
-    "bounds": cmd_bounds,
-    "phase-diagram": cmd_phase_diagram,
-    "slope-check": cmd_slope_check,
-    "intermittency": cmd_intermittency,
-    "validate": cmd_validate,
+# name -> (command, help); a command only computes and returns
+# (exit code, {file name: text}), and main writes the files and the manifest
+_COMMANDS = {
+    "kernel-table": (cmd_kernel_table, "emit fractional-kernel and heat-kernel tables"),
+    "bm-sample": (cmd_bm_sample, "sample Brownian paths and radial statistics"),
+    "moment-mc": (cmd_moment_mc, "run the Feynman-Kac moment estimator"),
+    "bounds": (cmd_bounds, "emit growth-rate and upper-exponent tables"),
+    "phase-diagram": (cmd_phase_diagram, "sweep (beta, p) and emit sign-of-exponent grids"),
+    "slope-check": (cmd_slope_check, "audit the large-parameter growth rates of the lower bound"),
+    "intermittency": (cmd_intermittency, "run the normalized moment-ratio series"),
+    "validate": (cmd_validate, "run the built-in property suite"),
 }
 
 
@@ -657,18 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "kernel-table": "emit fractional-kernel and heat-kernel tables",
-        "bm-sample": "sample Brownian paths and radial statistics",
-        "moment-mc": "run the Feynman-Kac moment estimator",
-        "bounds": "emit growth-rate and upper-exponent tables",
-        "phase-diagram": "sweep (beta, p) and emit sign-of-exponent grids",
-        "slope-check": "audit the large-parameter growth rates of the lower bound",
-        "intermittency": "run the normalized moment-ratio series",
-        "validate": "run the built-in property suite",
-    }
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument(
             "--set",
@@ -698,7 +558,29 @@ def main(argv: list[str] | None = None) -> int:
             config["mc"]["seed"] = int(args.seed)
         if args.workers is not None:
             config["mc"]["workers"] = int(args.workers)
-        return _DISPATCH[args.subcommand](args, config)
+        t0 = time.perf_counter()
+        ledger = ConstantLedger(config["constants"])
+        code, files = _COMMANDS[args.subcommand][0](args, config, ledger)
+        # only a run that computed its outputs creates the directory; an exit-1
+        # run (a failed check) still writes everything
+        out = Path(args.out or f"hypam-{args.subcommand}")
+        out.mkdir(parents=True, exist_ok=True)
+        digests = []
+        for name, text in sorted(files.items()):
+            data = text.encode()
+            (out / name).write_bytes(data)
+            digests.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
+        manifest = {
+            "tool_version": __version__,
+            "subcommand": args.subcommand,
+            "config": config,
+            "master_seed": int(config["mc"]["seed"]),
+            "constant_ledger": ledger.as_dict(),
+            "outputs": digests,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        (out / "manifest.json").write_text(_json(manifest))
+        return code
     except (ValueError, RuntimeError) as exc:
         # a bad configuration is exit 2, a numerical failure exit 3
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)

@@ -141,35 +141,18 @@ class RatioPoint:
     log_stderr: float
 
 
-_GRID_CACHE: dict[tuple, KernelGrid] = {}
-
-
 def _pair_kernel_grid(cfg: FkConfig, t_max: float, ledger: ConstantLedger | None) -> KernelGrid:
-    """Memoized radial table of the order-2*alpha kernel sized to the run.
+    """Radial table of the order-2*alpha kernel sized to the run.
 
-    The table range is rounded up to a power of two so repeated runs share
-    cached tables; the cache key pins every input the table depends on."""
+    The table range is rounded up to a power of two, so the table, and with it
+    every estimate, does not move with small changes of the horizon."""
     spec2 = replace(cfg.spec, alpha=2.0 * cfg.spec.alpha)
     n, K = cfg.spec.n, cfg.spec.K
     sk = math.sqrt(K)
     # paths drift radially at (n-1) sqrt(K); cover twice that plus diffusive spread
     raw = 2.0 * ((n - 1) * sk * t_max + 8.0 * math.sqrt(2.0 * t_max) + 5.0 / sk)
     d_max = float(2.0 ** math.ceil(math.log2(raw)))
-    c_used = 1.0
-    if cfg.kernel_mode == "lower" and ledger is not None:
-        c_used = ledger.value("gbar_C")
-    key = (spec2.alpha, spec2.n, spec2.K, cfg.kernel_mode, cfg.floor, d_max, c_used)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = KernelGrid(
-            spec2,
-            cfg.kernel_mode,
-            delta_floor=cfg.floor,
-            d_max=d_max,
-            ledger=ledger,
-        )
-        _GRID_CACHE[key] = grid
-    return grid
+    return KernelGrid(spec2, cfg.kernel_mode, delta_floor=cfg.floor, d_max=d_max, ledger=ledger)
 
 
 def _pair_list(p: int) -> list[tuple[int, int]]:

@@ -12,15 +12,12 @@ from dataclasses import dataclass
 __all__ = ["LedgerEntry", "ConstantLedger"]
 
 _DEFAULTS = {
-    # upper / lower constants of the heat-kernel comparison profile
+    # upper constant of the heat-kernel comparison profile
     "dm_upper_C": 1.0,
-    "dm_lower_c": 1.0,
     # multiplicative constant of the closed-form kernel lower bound
     "gbar_C": 1.0,
     # constant of the chaos-norm recursion feeding the renewal profiles
     "chaos_C": 1.0,
-    # constant of the semigroup decay bound
-    "semigroup_C": 1.0,
 }
 
 _PROVENANCES = ("default", "calibrated", "user", "derived")

@@ -308,3 +308,49 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "gamma-additivity" in out
         assert "PASS" in out and "FAIL" not in out
+
+
+class TestOutputProtocol:
+    def test_failed_runs_write_nothing(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        assert run("bm-sample", "--out", d, "--set", "mc.n_paths=0") == 2
+        assert not d.exists()
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("no convergence")
+
+        monkeypatch.setattr("hypam.cli.theta", fail)
+        assert run("bounds", "--out", d) == 3
+        assert not d.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kernel-table",),
+            ("bm-sample",),
+            ("moment-mc",),
+            ("bounds",),
+            ("phase-diagram",),
+            ("slope-check",),
+            ("intermittency",),
+            ("validate", "--quick"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_manifest_lists_every_file(self, tmp_path, argv):
+        out = tmp_path / "o"
+        small = ("--set", "mc.n_paths=256", "--set", "mc.t_end=0.1")
+        assert run(*argv, "--out", out, *small) == 0
+        man = read_manifest(out)
+        assert man["subcommand"] == argv[0]
+        listed = [e["path"] for e in man["outputs"]]
+        assert listed == sorted(listed)
+        assert {p.name for p in out.iterdir()} == {"manifest.json", *listed}
+        for e in man["outputs"]:
+            assert e["sha256"] == hashlib.sha256((out / e["path"]).read_bytes()).hexdigest()
+
+    def test_lower_table_uses_bracket_mode_word(self, tmp_path):
+        out = tmp_path / "k"
+        assert run("kernel-table", "--out", out) == 0
+        with open(out / "g_alpha_lower.csv", newline="") as f:
+            assert {row["mode"] for row in csv.DictReader(f)} == {"lower"}
