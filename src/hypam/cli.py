@@ -558,12 +558,14 @@ def main(argv: list[str] | None = None) -> int:
             config["mc"]["seed"] = int(args.seed)
         if args.workers is not None:
             config["mc"]["workers"] = int(args.workers)
+        out = Path(args.out or f"hypam-{args.subcommand}")
+        if out.exists() and not out.is_dir():
+            raise FileExistsError(f"output path {str(out)!r} exists and is not a directory")
         t0 = time.perf_counter()
         ledger = ConstantLedger(config["constants"])
         code, files = _COMMANDS[args.subcommand][0](args, config, ledger)
         # only a run that computed its outputs creates the directory; an exit-1
         # run (a failed check) still writes everything
-        out = Path(args.out or f"hypam-{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)
         digests = []
         for name, text in sorted(files.items()):
@@ -581,10 +583,11 @@ def main(argv: list[str] | None = None) -> int:
         }
         (out / "manifest.json").write_text(_json(manifest))
         return code
-    except (ValueError, RuntimeError) as exc:
-        # a bad configuration is exit 2, a numerical failure exit 3
+    except (ValueError, RuntimeError, OSError) as exc:
+        # a bad configuration is exit 2, a numerical failure exit 3, an
+        # output path that cannot be written exit 4
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 3
+        return 2 if isinstance(exc, ValueError) else 4 if isinstance(exc, OSError) else 3
 
 
 if __name__ == "__main__":

@@ -450,36 +450,16 @@ def _r_search_grid(spec: NoiseSpec, r_max: float | None, n_grid: int) -> np.ndar
     return np.geomspace(lo, hi, n_grid)
 
 
-def _q_parts(p, spec, ledger, r_max, n_grid):
-    """Grid plus the beta-independent pieces of Q: (p-1) Gbar and the eigenvalue bound."""
-    r_grid = _r_search_grid(spec, r_max, n_grid)
+def _q_parts(p, spec, ledger, r):
+    """The beta-independent pieces of Q at the radii r: (p-1) Gbar and the eigenvalue bound."""
     spec2 = replace(spec, alpha=2.0 * spec.alpha)
-    gain = (p - 1) * np.asarray(g_alpha_lower(spec2, r_grid, ledger))
-    lam = dirichlet_eigenvalue_upper(r_grid, spec.n, spec.K, ledger)
-    return r_grid, gain, lam
+    gain = (p - 1) * np.asarray(g_alpha_lower(spec2, r, ledger))
+    lam = dirichlet_eigenvalue_upper(r, spec.n, spec.K, ledger)
+    return gain, lam
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a: float, b: float, tol: float = 1e-10, iters: int = 200):
-    """Golden-section maximizer of f on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+_ZOOM_POINTS = 65  # Q evaluations per zoom level in q_sup, evenly spaced in log r
+_ZOOM_TOL = 1e-10  # the zoom stops once its bracket is this wide in log r
 
 
 def q_sup(
@@ -490,23 +470,31 @@ def q_sup(
     r_max: float = math.inf,
     n_grid: int = 600,
 ) -> QSupResult:
-    """Supremum of Q over the ball radius: log-spaced scan plus golden-section
-    refinement around the best grid point."""
+    """Supremum of Q over the ball radius: a log-spaced scan, then a zoom on the
+    bracket between the best node's neighbours.  Each level evaluates Q as one
+    array on _ZOOM_POINTS points spread evenly in log r and shrinks the bracket
+    to two spacings around the best point, clamped to the first bracket, until
+    it is _ZOOM_TOL wide.  The result is never below the grid maximum."""
     if not (isinstance(p, (int, np.integer)) and p >= 2):
         raise ValueError("moment order p must be an integer >= 2")
-    r_grid, gain, lam = _q_parts(p, spec, ledger, r_max, n_grid)
+    r_grid = _r_search_grid(spec, r_max, n_grid)
+    gain, lam = _q_parts(p, spec, ledger, r_grid)
     qvals = beta * beta * gain - lam
     j = int(np.argmax(qvals))
-    lo = r_grid[max(0, j - 1)]
-    hi = r_grid[min(len(r_grid) - 1, j + 1)]
-
-    def f(y: float) -> float:
-        return q_lower(math.exp(y), p, beta, spec, ledger)
-
-    y_star, value = _golden_max(f, math.log(lo), math.log(hi))
-    if value < qvals[j]:
-        y_star, value = math.log(r_grid[j]), float(qvals[j])
-    return QSupResult(r_star=math.exp(y_star), value=float(value))
+    y_best, value = math.log(r_grid[j]), float(qvals[j])
+    lo = math.log(r_grid[max(0, j - 1)])
+    hi = math.log(r_grid[min(len(r_grid) - 1, j + 1)])
+    a, b = lo, hi
+    while b - a > _ZOOM_TOL:
+        y = np.linspace(a, b, _ZOOM_POINTS)
+        gain, lam = _q_parts(p, spec, ledger, np.exp(y))
+        q = beta * beta * gain - lam
+        k = int(np.argmax(q))
+        if q[k] > value:
+            y_best, value = float(y[k]), float(q[k])
+        h = y[1] - y[0]
+        a, b = max(lo, y_best - h), min(hi, y_best + h)
+    return QSupResult(r_star=math.exp(y_best), value=value)
 
 
 def lower_lyapunov(
@@ -523,37 +511,26 @@ def lower_lyapunov(
     return p * max(res.value, floor)
 
 
+def _critical_ratio(gain: np.ndarray, lam: np.ndarray) -> float:
+    """min over the grid of lam/gain: s * gain - lam is positive at some node
+    exactly when s exceeds it (lam > 0).  Nodes where the ratio would overflow,
+    gain having underflowed, cannot hold the minimum and are skipped."""
+    ok = gain > lam / np.finfo(float).max
+    if not ok.any():
+        raise RuntimeError("the lower-bound kernel vanishes on the whole radius grid")
+    return float(np.min(lam[ok] / gain[ok]))
+
+
 def beta_critical(
     p: int,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
     r_max: float = math.inf,
-    rel_tol: float = 1e-9,
 ) -> float:
-    """Smallest coupling with a strictly positive lower Lyapunov exponent,
-    by bisection on the grid supremum of Q."""
-    r_grid, gain, lam = _q_parts(p, spec, ledger, r_max, 600)
-
-    def positive(beta: float) -> bool:
-        return bool(np.max(beta * beta * gain - lam) > 0.0)
-
-    hi = 1.0
-    for _ in range(200):
-        if positive(hi):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to find a positive-exponent coupling")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(400):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """Smallest coupling with a strictly positive lower Lyapunov exponent on
+    the 600-point radius grid: beta_c^2 = min_r lam(r) / ((p-1) Gbar(r))."""
+    gain, lam = _q_parts(p, spec, ledger, _r_search_grid(spec, r_max, 600))
+    return math.sqrt(_critical_ratio(gain, lam))
 
 
 def p_critical(
@@ -563,29 +540,25 @@ def p_critical(
     r_max: float = math.inf,
 ) -> int:
     """Smallest integer moment order with a strictly positive lower Lyapunov
-    exponent at the given coupling, by accelerated integer scan."""
+    exponent on the 600-point radius grid at the given coupling: the first p
+    with p - 1 > min_r lam(r) / (beta^2 Gbar(r))."""
     if not (beta > 0.0):
         raise ValueError("beta must be positive")
-    r_grid, gbar, lam = _q_parts(2, spec, ledger, r_max, 600)
+    gbar, lam = _q_parts(2, spec, ledger, _r_search_grid(spec, r_max, 600))
+    m = _critical_ratio(gbar, lam) / beta / beta
+    if not m < 2.0**62:
+        raise RuntimeError("no critical moment order below 2^62")
 
     def positive(p: int) -> bool:
         return bool(np.max(beta * beta * (p - 1) * gbar - lam) > 0.0)
 
-    p = 2
+    # the floor can land one off at a tie (m an integer) through rounding
+    p = max(2, math.floor(m) + 2)
     while not positive(p):
-        if p > 2**62:
-            raise RuntimeError("no critical moment order below 2^62")
-        p *= 2
-    if p == 2:
-        return 2
-    lo, hi = p // 2, p
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        p += 1
+    while p > 2 and positive(p - 1):
+        p -= 1
+    return p
 
 
 @dataclass(frozen=True)

@@ -354,3 +354,27 @@ class TestOutputProtocol:
         assert run("kernel-table", "--out", out) == 0
         with open(out / "g_alpha_lower.csv", newline="") as f:
             assert {row["mode"] for row in csv.DictReader(f)} == {"lower"}
+
+
+class TestUnwritableOutput:
+    def test_existing_file_returns_4_before_computing(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("the run computed before checking --out")
+
+        monkeypatch.setattr("hypam.cli.theta", fail)
+        f = tmp_path / "f"
+        f.write_text("keep")
+        assert run("bounds", "--out", f) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a directory" in err
+        assert f.read_text() == "keep"
+
+    def test_failed_write_returns_4(self, tmp_path, capsys):
+        # the parent of --out is a file, so creating the directory fails
+        f = tmp_path / "f"
+        f.write_text("keep")
+        assert run("bounds", "--out", f / "sub") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f.read_text() == "keep"
