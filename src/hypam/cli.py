@@ -36,6 +36,7 @@ from .fkmc import (
     p_critical,
 )
 from .hyperbolic import (
+    BLOCK_SIZE,
     BracketMode,
     HeatKernelMode,
     ModelPoint,
@@ -469,25 +470,25 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
         f"mean {est.mean}, stderr {est.stderr}",
     )
 
-    # worker-count invariance on a small ensemble
+    # worker-count invariance on a ragged ensemble, so the thread groups of
+    # blocks split unevenly
     cfg2 = FkConfig(
         spec=NoiseSpec(alpha=1.0, beta=0.3, n=3, K=K),
         p=2,
         t_end=0.2,
         dt=0.02,
-        n_paths=2048,
+        n_paths=2 * BLOCK_SIZE + 37,
         seed=int(config["mc"]["seed"]),
         u0=RadialProfile.constant(1.0),
     )
-    e1 = moment_estimate(cfg2, workers=1)
-    e2 = moment_estimate(cfg2, workers=2)
+    e1, e2, e3 = (moment_estimate(cfg2, workers=w) for w in (1, 2, 3))
     check(
         "worker-invariance",
-        e1 == e2,
-        f"W=1 mean {e1.mean:.12g}, W=2 mean {e2.mean:.12g}",
+        e1 == e2 == e3,
+        f"W=1 mean {e1.mean:.12g}, W=2 mean {e2.mean:.12g}, W=3 mean {e3.mean:.12g}",
     )
-    e3 = moment_estimate(cfg2, workers=1)
-    check("rerun-determinism", e1 == e3, "bitwise-identical estimates on rerun")
+    rerun = moment_estimate(cfg2, workers=1)
+    check("rerun-determinism", e1 == rerun, "bitwise-identical estimates on rerun")
     return checks
 
 

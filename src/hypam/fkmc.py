@@ -159,25 +159,43 @@ def _pair_list(p: int) -> list[tuple[int, int]]:
     return [(i, k) for i in range(p) for k in range(i + 1, p)]
 
 
+def _pair_distances(X: np.ndarray, I: np.ndarray, J: np.ndarray, K: float) -> np.ndarray:
+    """d(X[:, I[m]], X[:, J[m]]) as an (N, P) array, gathered one coordinate
+    at a time: the bits of distance_coords without an (N, P, n+1) copy of X."""
+    s = X[:, I, 1] * X[:, J, 1]
+    for c in range(2, X.shape[-1]):
+        s += X[:, I, c] * X[:, J, c]
+    q = X[:, I, 0] * X[:, J, 0]
+    q -= s
+    q *= K
+    np.maximum(q, 1.0, out=q)
+    np.arccosh(q, out=q)
+    q /= math.sqrt(K)
+    return q
+
+
 def _simulate_block(cfg, block_index, block_size, sizes, cp_steps, grid):
-    """One replicate block: per-checkpoint endpoint data and pair integrals.
+    """One group of consecutive replicate blocks, block_size paths from block
+    block_index on: per-checkpoint endpoint data and pair integrals.
 
     Returns (lu, sp): lu[c, b, j] = log u0 at path j's position at checkpoint c,
     sp[c, b, m] = integral of the pair kernel along unordered pair m up to
-    checkpoint c.  Randomness comes only from (cfg.seed, block_index)."""
+    checkpoint c.  Block block_index + k draws only from stream
+    (cfg.seed, block_index + k)."""
     spec = cfg.spec
     n, K, p = spec.n, spec.K, cfg.p
     base = ModelPoint.basepoint(n, K).coords
-    pairs = _pair_list(p)
-    s_accum = np.zeros((block_size, len(pairs)))
-    k_prev = np.full((block_size, len(pairs)), grid(0.0))
+    I, J = np.array(_pair_list(p)).T
+    s_accum = np.zeros((block_size, len(I)))
+    k_prev = np.full((block_size, len(I)), grid(0.0))
     lu = np.empty((len(cp_steps), block_size, p))
-    sp = np.empty((len(cp_steps), block_size, len(pairs)))
+    sp = np.empty((len(cp_steps), block_size, len(I)))
     for h, X, c in walk_block(base, (block_size, p), cfg.seed, block_index, sizes, cp_steps, K):
-        k_cur = np.empty_like(k_prev)
-        for m, (i, k) in enumerate(pairs):
-            k_cur[:, m] = grid(distance_coords(X[:, i, :], X[:, k, :], K))
-        s_accum += (0.5 * h) * (k_prev + k_cur)
+        k_cur = grid(_pair_distances(X, I, J, K))
+        # trapezoid s += (h/2)(k_prev + k_cur), in k_prev's buffer
+        k_prev += k_cur
+        k_prev *= 0.5 * h
+        s_accum += k_prev
         k_prev = k_cur
         if c is not None:
             with np.errstate(divide="ignore"):
@@ -187,11 +205,13 @@ def _simulate_block(cfg, block_index, block_size, sizes, cp_steps, grid):
 
 
 def _run_blocks(cfg: FkConfig, sizes, cp_steps, grid, workers: int):
-    """Simulate all blocks (in parallel if asked) and concatenate in block order."""
+    """Simulate all blocks, in groups of consecutive blocks (in parallel if
+    asked), and concatenate in block order."""
     results = run_blocks(
         cfg.n_paths,
         workers,
         lambda b, size: _simulate_block(cfg, b, size, sizes, cp_steps, grid),
+        grouped=True,
     )
     lu = np.concatenate([r[0] for r in results], axis=1)
     sp = np.concatenate([r[1] for r in results], axis=1)

@@ -123,11 +123,21 @@ class KernelBracket:
     alpha: float | None = None
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of a * b as a left-to-right loop over the
+    coordinates.  Below 8 terms this is numpy's own summation order, so it
+    gives the bits of np.sum, without the cost of reducing a short axis."""
+    s = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        s += a[..., i] * b[..., i]
+    return s
+
+
 def minkowski_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b>_L over the last axis; broadcasts over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+    return a[..., 0] * b[..., 0] - _dot(a[..., 1:], b[..., 1:])
 
 
 @dataclass(frozen=True)
@@ -204,13 +214,15 @@ def renormalize_coords(X: np.ndarray, K: float) -> np.ndarray:
     it stays exact arbitrarily far from the base point, where the difference
     of the two squares carries no significant bits.
     """
-    X = np.asarray(X, dtype=float)
+    return _renormalize(np.array(X, dtype=float), K)
+
+
+def _renormalize(X: np.ndarray, K: float) -> np.ndarray:
+    """renormalize_coords in place, on a float array the caller owns."""
     if not np.all(np.isfinite(X)):
         raise ValueError("cannot renormalize: coordinates are not finite")
-    out = X.copy()
-    s2 = np.sum(X[..., 1:] ** 2, axis=-1)
-    out[..., 0] = np.sqrt(1.0 / K + s2)
-    return out
+    X[..., 0] = np.sqrt(1.0 / K + _dot(X[..., 1:], X[..., 1:]))
+    return X
 
 
 def exp_map_coords(
@@ -231,10 +243,19 @@ def exp_map_coords(
         r = np.sqrt(np.maximum(-q, 0.0))
     else:
         r = np.asarray(norm, dtype=float)
-    a = math.sqrt(K) * r
-    den = np.where(a > 1e-12, a, 1.0)
-    fac = np.where(a > 1e-12, np.sinh(a) / den, 1.0)
-    return np.cosh(a)[..., None] * X + fac[..., None] * V
+    return _exp_map(X, np.array(V), math.sqrt(K) * r)
+
+
+def _exp_map(X: np.ndarray, V: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """exp_map_coords in place on V, a float array the caller owns, given
+    a = sqrt(K) |V|: sinh(a)/a V + cosh(a) X, the bits of cosh(a) X +
+    sinh(a)/a V, since the sum commutes."""
+    fac = np.divide(np.sinh(a), a, out=np.ones_like(a), where=a > 1e-12)
+    V *= fac[..., None]
+    ch = np.cosh(a, out=fac)
+    for i in range(V.shape[-1]):  # one coordinate at a time: no full-size temporary
+        V[..., i] += ch * X[..., i]
+    return V
 
 
 def exp_map(x: ModelPoint, v: np.ndarray) -> ModelPoint:
@@ -257,26 +278,38 @@ def tangent_at(X: np.ndarray, xi: np.ndarray, K: float) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    sk = math.sqrt(K)
-    Xh = sk * X  # unit-hyperboloid copy of X
-    V = np.concatenate([np.zeros(xi.shape[:-1] + (1,)), xi], axis=-1)
-    # <Xh, V>_L with V_0 = 0 reduces to minus the spatial dot product
-    qxv = -np.sum(Xh[..., 1:] * xi, axis=-1)
-    w = Xh.copy()
-    w[..., 0] += 1.0
-    return V - (qxv / (1.0 + Xh[..., 0]))[..., None] * w
+    Xh = math.sqrt(K) * X  # unit-hyperboloid copy of X, overwritten with V below
+    # <Xh, V>_L with V = (0, xi) reduces to minus the spatial dot product
+    f = np.asarray(_dot(Xh[..., 1:], xi))
+    np.negative(f, out=f)
+    f /= 1.0 + Xh[..., 0]
+    # V = (0, xi) - f (Xh + e_0), computed in place
+    Xh[..., 0] += 1.0
+    Xh *= f[..., None]
+    np.subtract(0.0, Xh[..., 0], out=Xh[..., 0])
+    np.subtract(xi, Xh[..., 1:], out=Xh[..., 1:])
+    return Xh
 
 
-def brownian_step(
-    X: np.ndarray, rng: np.random.Generator, dt: float, K: float
-) -> np.ndarray:
-    """One geodesic random-walk step of duration dt for every point in X."""
+def brownian_step(X: np.ndarray, rng, dt: float, K: float) -> np.ndarray:
+    """One geodesic random-walk step of duration dt for every point in X.
+
+    rng is a generator, or a list of them, one per block of X's leading axis:
+    generator k fills the rows of block k (rows k * BLOCK_SIZE onward), the
+    last one every row that is left."""
     n = X.shape[-1] - 1
-    xi = rng.standard_normal(X.shape[:-1] + (n,)) * math.sqrt(2.0 * dt)
+    xi = np.empty(X.shape[:-1] + (n,))
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    for k, g in enumerate(rngs):
+        stop = (k + 1) * BLOCK_SIZE if k + 1 < len(rngs) else None
+        g.standard_normal(out=xi[k * BLOCK_SIZE : stop])
+    xi *= math.sqrt(2.0 * dt)
     V = tangent_at(X, xi, K)
     # the transport is an isometry, so the step length is known exactly
-    r = np.linalg.norm(xi, axis=-1)
-    return renormalize_coords(exp_map_coords(X, V, K, norm=r), K)
+    a = np.sqrt(_dot(xi, xi))
+    del xi  # from here on X and V are the only full-size arrays
+    a *= math.sqrt(K)
+    return _renormalize(_exp_map(X, V, a), K)
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +336,45 @@ def time_grid(checkpoints, dt: float):
     return np.repeat(seg / m, m), np.cumsum(m).tolist(), ts.tolist()
 
 
-def run_blocks(n_paths: int, workers: int, block: Callable) -> list:
+# blocks per group: bounds each thread's working set at 4096 paths; a cap of 8
+# added about 1.7 MB to the peak memory of a one-worker 8192-path p = 4 run
+# and was no faster
+_GROUP_CAP = 4
+
+
+def run_blocks(n_paths: int, workers: int, block: Callable, grouped: bool = False) -> list:
     """block(b, size) for every block of the n_paths paths (the last one
-    ragged), on `workers` threads; the results come back in block order."""
+    ragged), on `workers` threads; the results come back in block order.
+
+    With grouped, block(b, size) is called once per group of consecutive
+    blocks instead: b is the group's first block and size its path count.
+    The blocks are split into groups of ceil(blocks / workers), at most
+    _GROUP_CAP, so each thread steps its blocks as one array."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    starts = range(0, n_paths, BLOCK_SIZE)
-    counts = [min(BLOCK_SIZE, n_paths - s) for s in starts]
-    if workers > 1 and len(starts) > 1:
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    per = min(-(-n_blocks // workers), _GROUP_CAP) if grouped else 1
+    firsts = range(0, n_blocks, per)
+    counts = [min(per * BLOCK_SIZE, n_paths - b * BLOCK_SIZE) for b in firsts]
+    if workers > 1 and len(firsts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(block, range(len(starts)), counts))
-    return list(map(block, range(len(starts)), counts))
+            return list(pool.map(block, firsts, counts))
+    return list(map(block, firsts, counts))
 
 
 def walk_block(x0: np.ndarray, shape: tuple, seed: int, block: int, sizes, cp_steps, K: float):
     """Step copies of the coordinates x0, one per index of `shape`, through
-    the step sizes with stream (seed, block).  Yields (h, X, c) after each
-    step: its size, the positions, and the checkpoint it ends on, or None."""
-    rng = stream_generator(seed, block)
+    the step sizes.  shape[0] may span several consecutive blocks: block
+    `block` + k, rows k * BLOCK_SIZE onward, draws from stream (seed,
+    block + k).  Yields (h, X, c) after each step: its size, the positions,
+    and the checkpoint it ends on, or None."""
+    rngs = [stream_generator(seed, block + k) for k in range(-(-shape[0] // BLOCK_SIZE))]
     X = np.broadcast_to(x0, shape + x0.shape).copy()
     cp_at = {s: c for c, s in enumerate(cp_steps)}
     for step, h in enumerate(sizes, start=1):
-        X = brownian_step(X, rng, float(h), K)
+        X = brownian_step(X, rngs, float(h), K)
         yield h, X, cp_at.get(step)
 
 
@@ -344,7 +394,7 @@ def radial_walk(x0: ModelPoint, checkpoints, dt: float, n_paths: int, seed: int,
                 out[:, c] = d, d_max
         return out
 
-    d, d_max = np.concatenate(run_blocks(n_paths, workers, block), axis=2)
+    d, d_max = np.concatenate(run_blocks(n_paths, workers, block, grouped=True), axis=2)
     return ts, d, d_max
 
 

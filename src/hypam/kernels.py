@@ -348,17 +348,36 @@ class KernelGrid:
         # scipy.optimize, adds about 25 MB to any process that imports it
         from scipy.interpolate import PchipInterpolator
 
-        self._interp = PchipInterpolator(nodes, logv, extrapolate=False)
-        self.floor_value = float(math.exp(logv[0]))
+        # the cubic coefficients per interval, highest power first
+        self._coef = PchipInterpolator(nodes, logv, extrapolate=False).c
+        # np.exp, as in the lookup: math.exp can differ from it in the last bit
+        self.floor_value = float(np.exp(logv[0]))
 
     def __call__(self, d):
+        """The table at distances d.  The PCHIP cubics are evaluated in numpy,
+        in scipy's order, so the bits are those of PchipInterpolator; numpy
+        releases the GIL in each array operation, where scipy's compiled
+        evaluation holds it, so worker threads can look up at the same time."""
         d_arr = np.asarray(d, dtype=float)
-        clipped = np.clip(d_arr, self.delta_floor, self.d_max)
-        out = np.exp(self._interp(clipped))
-        out = np.where(d_arr > self.d_max, 0.0, out)
+        s = np.clip(d_arr.ravel(), self.delta_floor, self.d_max)
+        j = np.searchsorted(self._nodes, s, "right")
+        j -= 1
+        np.minimum(j, len(self._nodes) - 2, out=j)
+        s -= self._nodes[j]
+        # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s^3 = (s s) s, as scipy sums it
+        out = self._coef[3][j]
+        z = s.copy()
+        t = np.empty_like(s)
+        for c in self._coef[2::-1]:
+            np.take(c, j, out=t, mode="clip")  # j is in range; "raise" would buffer
+            t *= z
+            out += t
+            z *= s
+        np.exp(out, out=out)
+        out[d_arr.ravel() > self.d_max] = 0.0
         if np.isscalar(d) or d_arr.ndim == 0:
-            return float(out)
-        return out
+            return float(out[0])
+        return out.reshape(d_arr.shape)
 
 
 def covariance_form(

@@ -94,6 +94,13 @@ class TestExitCodes:
         assert run("bm-sample", "--out", tmp_path, "--set", "mc.n_paths=0") == 2
         assert capsys.readouterr().err == "error: n_paths must be at least 1\n"
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_returns_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "w"
+        assert run("moment-mc", "--out", out, *FAST_MC, "--workers", workers) == 2
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not out.exists()
+
     def test_missing_config_file_returns_2(self, tmp_path):
         assert run("bounds", "--out", tmp_path, "--config", tmp_path / "nope.json") == 2
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypam import (
     ConstantLedger,
@@ -25,6 +27,8 @@ from hypam import (
     q_lower,
     q_sup,
 )
+from hypam import fkmc
+from hypam.hyperbolic import distance_coords
 
 SPEC = NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0)
 ONES = RadialProfile.constant(1.0)
@@ -123,6 +127,21 @@ class TestDeterminism:
 
     def test_seed_matters(self):
         assert moment_estimate(cfg(seed=1)).mean != moment_estimate(cfg(seed=2)).mean
+
+
+class TestPairDistances:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 7), p=st.integers(2, 6), log_scale=st.floats(0.0, 6.0))
+    def test_bits_of_distance_coords(self, n, p, log_scale):
+        # every pair at once, one coordinate at a time, as distance_coords per pair
+        rng = np.random.default_rng(p * 100 + n)
+        spatial = rng.standard_normal((50, p, n)) * 10.0**log_scale
+        x0 = np.sqrt(0.5 + np.sum(spatial**2, axis=-1))
+        X = np.concatenate([x0[..., None], spatial], axis=-1)
+        I, J = np.array(fkmc._pair_list(p)).T
+        got = fkmc._pair_distances(X, I, J, 2.0)
+        want = np.stack([distance_coords(X[:, i], X[:, k], 2.0) for i, k in zip(I, J)], axis=1)
+        assert np.array_equal(got, want)
 
 
 class TestBiasAccounting:

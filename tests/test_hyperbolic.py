@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypam import (
     BracketMode,
+    FkConfig,
     HeatKernelMode,
     ModelPoint,
+    NoiseSpec,
     RadialProfile,
     brownian_path,
     brownian_step,
@@ -22,10 +26,12 @@ from hypam import (
     stream_generator,
     tangent_at,
 )
+from hypam import fkmc
 from hypam.hyperbolic import (
     BLOCK_SIZE,
     distance,
     heat_kernel_log_values,
+    radial_walk,
     run_blocks,
     time_grid,
     walk_block,
@@ -272,6 +278,132 @@ class TestPathEngine:
         assert cp_steps == [3, 7]
         assert np.cumsum(sizes)[[2, 6]] == pytest.approx([0.1, 0.25], abs=1e-15)
         assert sizes.max() <= 0.04
+
+
+class TestBlockGroups:
+    """Consecutive blocks stepped as one array keep every block on its own stream."""
+
+    def test_group_walk_equals_one_block_walks(self):
+        o = ModelPoint.basepoint(3, 1.0)
+        sizes, cp_steps, _ = time_grid([0.03], 0.01)
+        counts = [BLOCK_SIZE, BLOCK_SIZE, 5]  # the last block ragged
+        grouped = list(walk_block(o.coords, (sum(counts), 2), 17, 3, sizes, cp_steps, 1.0))
+        singles = [
+            list(walk_block(o.coords, (size, 2), 17, 3 + k, sizes, cp_steps, 1.0))
+            for k, size in enumerate(counts)
+        ]
+        assert len(grouped) == len(sizes)
+        for step, (h, X, c) in enumerate(grouped):
+            rows = np.concatenate([walk[step][1] for walk in singles])
+            assert np.array_equal(X, rows)
+            assert (h, c) == singles[0][step][::2]
+
+    @pytest.mark.parametrize("n_blocks", [6, 10])
+    def test_grouped_routes_are_worker_invariant(self, n_blocks):
+        # n_blocks - 1 full blocks and a ragged last one: 6 blocks split into
+        # groups of 4 + 2, 3 + 3 and 2 + 2 + 2 at 1, 2 and 3 workers, and 10
+        # cross the group cap at every worker count
+        n_paths = (n_blocks - 1) * BLOCK_SIZE + 5
+        cfg = FkConfig(
+            spec=NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0),
+            p=2,
+            t_end=0.02,
+            dt=0.01,
+            n_paths=n_paths,
+            seed=5,
+            u0=RadialProfile.bump(1.0, 0.2),
+        )
+        sizes, cp_steps, _ = time_grid([0.01, 0.02], cfg.dt)
+        grid = fkmc._pair_kernel_grid(cfg, 0.02, None)
+        per_block = run_blocks(
+            n_paths, 1, lambda b, size: fkmc._simulate_block(cfg, b, size, sizes, cp_steps, grid)
+        )
+        want = [np.concatenate([r[i] for r in per_block], axis=1) for i in (0, 1)]
+        o = ModelPoint.basepoint(3, 1.0)
+        radial = [radial_walk(o, [0.01, 0.02], 0.01, n_paths, 5, w) for w in (1, 2, 3)]
+        for w, (_, d, d_max) in zip((1, 2, 3), radial):
+            lu, sp = fkmc._run_blocks(cfg, sizes, cp_steps, grid, w)
+            assert np.array_equal(lu, want[0]) and np.array_equal(sp, want[1])
+            assert np.array_equal(d, radial[0][1]) and np.array_equal(d_max, radial[0][2])
+        assert radial[0][1].shape == (2, n_paths)
+
+    def test_group_split(self):
+        def groups(n_paths, workers):
+            return run_blocks(n_paths, workers, lambda b, size: (b, size), grouped=True)
+
+        six = 5 * BLOCK_SIZE + 5
+        assert groups(six, 1) == [(0, 4 * BLOCK_SIZE), (4, BLOCK_SIZE + 5)]
+        assert groups(six, 2) == [(0, 3 * BLOCK_SIZE), (3, 2 * BLOCK_SIZE + 5)]
+        assert groups(six, 3) == [(0, 2 * BLOCK_SIZE), (2, 2 * BLOCK_SIZE), (4, BLOCK_SIZE + 5)]
+        assert groups(six, 16) == [(b, BLOCK_SIZE) for b in range(5)] + [(5, 5)]
+        # at most four blocks a group, whatever the worker count
+        ten = 9 * BLOCK_SIZE + 5
+        want = [(0, 4 * BLOCK_SIZE), (4, 4 * BLOCK_SIZE), (8, BLOCK_SIZE + 5)]
+        assert groups(ten, 1) == groups(ten, 2) == want
+        assert groups(100, 1) == [(0, 100)]
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_blocks(10, workers, lambda b, size: size)
+
+
+def _inner_sum(a, b):
+    return a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+
+
+def _step_sum(X, xi, K):
+    """brownian_step as written with np.sum reductions, for a given frame vector xi."""
+    sk = math.sqrt(K)
+    Xh = sk * X
+    V = np.concatenate([np.zeros(xi.shape[:-1] + (1,)), xi], axis=-1)
+    qxv = -np.sum(Xh[..., 1:] * xi, axis=-1)
+    w = Xh.copy()
+    w[..., 0] += 1.0
+    V = V - (qxv / (1.0 + Xh[..., 0]))[..., None] * w
+    a = sk * np.linalg.norm(xi, axis=-1)
+    den = np.where(a > 1e-12, a, 1.0)
+    fac = np.where(a > 1e-12, np.sinh(a) / den, 1.0)
+    Y = np.cosh(a)[..., None] * X + fac[..., None] * V
+    out = Y.copy()
+    out[..., 0] = np.sqrt(1.0 / K + np.sum(Y[..., 1:] ** 2, axis=-1))
+    return out
+
+
+# dimension, curvature, log10 of the spatial scale (far from the base point), seed
+far_points = st.tuples(
+    st.integers(2, 7),
+    st.floats(0.25, 4.0),
+    st.floats(0.0, 6.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestCoordinateLoops:
+    """The coordinate loops give the bits of the np.sum forms below 8 terms."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=far_points)
+    def test_inner_distance_and_sheet(self, case):
+        n, K, log_scale, seed = case
+        rng = np.random.default_rng(seed)
+        X = random_points(n, K, 64, rng, scale=10.0**log_scale)
+        Y = random_points(n, K, 64, rng, scale=10.0**log_scale)
+        assert np.array_equal(minkowski_inner(X, Y), _inner_sum(X, Y))
+        want = np.arccosh(np.maximum(K * _inner_sum(X, Y), 1.0)) / math.sqrt(K)
+        assert np.array_equal(distance_coords(X, Y, K), want)
+        scale = np.maximum(1.0, K * np.sum(X * X, axis=-1))
+        want = np.abs(K * _inner_sum(X, X) - 1.0) / scale
+        assert np.array_equal(sheet_violation(X, K), want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=far_points, dt=st.floats(1e-4, 0.5))
+    def test_brownian_step(self, case, dt):
+        n, K, log_scale, seed = case
+        X = random_points(n, K, 64, np.random.default_rng(seed), scale=10.0**log_scale)
+        xi = stream_generator(seed, 0).standard_normal((64, n)) * math.sqrt(2.0 * dt)
+        got = brownian_step(X, stream_generator(seed, 0), dt, K)
+        assert np.array_equal(got, _step_sum(X, xi, K))
 
 
 class TestHeatKernel:

@@ -293,6 +293,68 @@ class TestKernelGrid:
         assert np.allclose(grid(zs), want, rtol=1e-3)
 
 
+class TestKernelGridLookup:
+    """The numpy evaluation of the table gives the bits of scipy's PCHIP."""
+
+    FLOOR, D_MAX = 1e-3, 12.0
+
+    @pytest.fixture(params=["exact", "lower"])
+    def pair(self, request):
+        from scipy.interpolate import PchipInterpolator
+
+        spec = spec_for(1.25)
+        nodes = np.geomspace(self.FLOOR, self.D_MAX, 400)
+        if request.param == "exact":
+            logv = kernels._log_g_exact_n3(spec, nodes)
+            ledger = None
+        else:
+            ledger = ConstantLedger()
+            calibrate_lower_constant(spec, ledger)
+            logv = g_alpha_lower_log(spec, nodes, ledger)
+        grid = KernelGrid(
+            spec, request.param, delta_floor=self.FLOOR, d_max=self.D_MAX, ledger=ledger
+        )
+        interp = PchipInterpolator(nodes, logv, extrapolate=False)
+
+        def reference(d):
+            out = np.exp(interp(np.clip(d, self.FLOOR, self.D_MAX)))
+            return np.where(d > self.D_MAX, 0.0, out)
+
+        return grid, reference, nodes
+
+    def test_random_distances(self, pair):
+        grid, reference, _ = pair
+        lo, hi = math.log(self.FLOOR), math.log(self.D_MAX)
+        d = np.exp(np.random.default_rng(11).uniform(lo, hi, 5000))
+        assert np.array_equal(grid(d), reference(d))
+
+    def test_every_node(self, pair):
+        grid, reference, nodes = pair
+        assert np.array_equal(grid(nodes), reference(nodes))
+
+    def test_below_floor_is_floor_value(self, pair):
+        grid, _, _ = pair
+        d = np.array([0.0, 1e-9, 0.5 * self.FLOOR, self.FLOOR])
+        assert np.all(grid(d) == grid.floor_value)
+
+    def test_at_and_beyond_d_max(self, pair):
+        grid, reference, _ = pair
+        d = np.array([self.D_MAX, np.nextafter(self.D_MAX, np.inf), 2.0 * self.D_MAX, np.inf])
+        got = grid(d)
+        assert got[0] == reference(d)[0] > 0.0
+        assert np.all(got[1:] == 0.0)
+
+    def test_shapes(self, pair):
+        grid, reference, _ = pair
+        value = grid(0.7)
+        assert type(value) is float and value == reference(np.array([0.7]))[0]
+        assert type(grid(np.float64(0.7))) is float
+        d = np.random.default_rng(2).uniform(0.0, 1.5 * self.D_MAX, (3, 4, 5))
+        got = grid(d)
+        assert got.shape == (3, 4, 5)
+        assert np.array_equal(got, reference(d))
+
+
 class TestCovarianceForm:
     def test_bilinear_symmetric_positive(self):
         spec = spec_for(1.0, beta=0.5)
