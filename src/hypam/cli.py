@@ -29,9 +29,9 @@ from .fkmc import (
     FkConfig,
     asymptotic_slope_check,
     beta_critical,
-    chaos_k1_estimate,
     intermittency_ratio,
     lower_lyapunov,
+    moment_and_chaos,
     moment_estimate,
     p_critical,
 )
@@ -70,6 +70,10 @@ DEFAULT_CONFIG: dict = {
     "kernel": {"mode": "exact", "delta_floor": None},
     "constants": {},
 }
+
+
+# keys read as integers; load_config stores each as an int
+_INT_KEYS = (("model", "n"), ("moment", "p"), ("mc", "n_paths"), ("mc", "seed"), ("mc", "workers"))
 
 
 class ConfigError(ValueError):
@@ -143,7 +147,19 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         _merge_config(config, incoming, path)
     for item in overrides:
         _apply_override(config, item)
+    for section, key in _INT_KEYS:
+        config[section][key] = _int_value(f"{section}.{key}", config[section][key])
     return config
+
+
+def _int_value(name: str, raw) -> int:
+    """An integral number (3, 3.0 or 1e4) as an int; anything else, booleans
+    included, is rejected rather than truncated."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    raise ConfigError(f"{name} must be an integer, got {raw!r}")
 
 
 def _r_value(raw) -> float:
@@ -287,19 +303,9 @@ def cmd_moment_mc(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict
     _require_dalang(config)
     cfg = build_fk(config)
     workers = int(config["mc"]["workers"])
-    est = moment_estimate(cfg, workers=workers, ledger=ledger)
+    est, chaos = moment_and_chaos(cfg, workers=workers, ledger=ledger)
     records = [_estimate_record("moment", config, est)]
     if cfg.spec.n == 3 and cfg.kernel_mode == "exact":
-        chaos = chaos_k1_estimate(
-            cfg.spec,
-            cfg.t_end,
-            cfg.dt,
-            cfg.n_paths,
-            cfg.seed,
-            delta_floor=cfg.delta_floor,
-            workers=workers,
-            ledger=ledger,
-        )
         records.append(_estimate_record("chaos_k1", config, chaos))
     wall = time.perf_counter() - t0
     lines = [json.dumps({**rec, "wall_time_s": wall}, sort_keys=True) + "\n" for rec in records]

@@ -55,6 +55,7 @@ __all__ = [
     "RatioPoint",
     "moment_estimate",
     "moment_series",
+    "moment_and_chaos",
     "chaos_k1_estimate",
     "intermittency_ratio",
     "q_lower",
@@ -244,6 +245,47 @@ def _bias_flag(cfg: FkConfig) -> str:
     return "UNBIASED"
 
 
+def _ensemble(cfg: FkConfig, t_grid, workers: int, ledger: ConstantLedger | None):
+    """One path ensemble of cfg observed at the times of t_grid: (ts, lu, sp),
+    with lu and sp as :func:`_simulate_block` gives them, over all paths."""
+    sizes, cp_steps, ts = time_grid(t_grid, cfg.dt)
+    grid = _pair_kernel_grid(cfg, ts[-1], ledger)
+    lu, sp = _run_blocks(cfg, sizes, cp_steps, grid, workers)
+    return ts, lu, sp
+
+
+def _log_weights(lu_c: np.ndarray, sp_c: np.ndarray, beta2: float) -> np.ndarray:
+    """log of prod_j u0(B^j_t) exp(beta^2 S_t) per path tuple at one checkpoint;
+    the ordered-pair sum S_t is twice the sum over the unordered pairs."""
+    return lu_c.sum(axis=1) + beta2 * 2.0 * sp_c.sum(axis=1)
+
+
+def _moments(cfg: FkConfig, lu: np.ndarray, sp: np.ndarray) -> list[MomentEstimate]:
+    """The moment estimate at every checkpoint of an ensemble."""
+    beta2 = cfg.spec.beta**2
+    bias = _bias_flag(cfg)
+    out = []
+    for lu_c, sp_c in zip(lu, sp):
+        mean, stderr, log_mean = _reduce_log_weights(_log_weights(lu_c, sp_c, beta2))
+        out.append(MomentEstimate(mean, stderr, cfg.n_paths, bias, log_mean))
+    return out
+
+
+def _chaos_k1(sp: np.ndarray) -> MomentEstimate:
+    """First-order chaos coefficient at the last checkpoint of an ensemble.
+
+    Per path tuple, S = 2 * (mean over the unordered pairs of the pair
+    integral): every pair is a pair of independent paths, so each tuple gives
+    an unbiased draw, and the tuples are i.i.d., so the stderr across them
+    holds.  With one pair (p = 2) the mean divides by 1 and S is exactly twice
+    that pair's integral."""
+    s_vals = 2.0 * sp[-1].mean(axis=1)
+    mean = float(s_vals.mean())
+    stderr = float(s_vals.std(ddof=1) / math.sqrt(s_vals.size)) if s_vals.size > 1 else 0.0
+    log_mean = math.log(mean) if mean > 0.0 else -math.inf
+    return MomentEstimate(mean, stderr, s_vals.size, "LOWER", log_mean)
+
+
 def moment_series(
     cfg: FkConfig,
     t_grid,
@@ -251,17 +293,8 @@ def moment_series(
     ledger: ConstantLedger | None = None,
 ) -> list[MomentEstimate]:
     """Moment estimates at each checkpoint time from one shared path ensemble."""
-    sizes, cp_steps, ts = time_grid(t_grid, cfg.dt)
-    grid = _pair_kernel_grid(cfg, ts[-1], ledger)
-    lu, sp = _run_blocks(cfg, sizes, cp_steps, grid, workers)
-    beta2 = cfg.spec.beta**2
-    bias = _bias_flag(cfg)
-    out = []
-    for c in range(len(ts)):
-        logw = lu[c].sum(axis=1) + beta2 * 2.0 * sp[c].sum(axis=1)
-        mean, stderr, log_mean = _reduce_log_weights(logw)
-        out.append(MomentEstimate(mean, stderr, cfg.n_paths, bias, log_mean))
-    return out
+    _, lu, sp = _ensemble(cfg, t_grid, workers, ledger)
+    return _moments(cfg, lu, sp)
 
 
 def moment_estimate(
@@ -288,6 +321,23 @@ def moment_estimate(
     return est
 
 
+def moment_and_chaos(
+    cfg: FkConfig,
+    workers: int = 1,
+    ledger: ConstantLedger | None = None,
+) -> tuple[MomentEstimate, MomentEstimate]:
+    """The moment estimate at cfg.t_end and the first-order chaos coefficient,
+    both from one path ensemble.
+
+    The moment is that of :func:`moment_estimate`.  The chaos coefficient
+    averages each path tuple's pairs (see :func:`chaos_k1_estimate`); at
+    p = 2 it is, bit for bit, the chaos_k1_estimate of the same spec, t_end,
+    dt, paths, seed, floor and kernel mode, since the initial data do not
+    enter it."""
+    _, lu, sp = _ensemble(cfg, [cfg.t_end], workers, ledger)
+    return _moments(cfg, lu, sp)[0], _chaos_k1(sp)
+
+
 def chaos_k1_estimate(
     spec: NoiseSpec,
     t: float,
@@ -303,7 +353,9 @@ def chaos_k1_estimate(
 
     Averages S_t = 2 * integral of the pair kernel along two independent paths
     (unit initial data), in the plain linear domain; the floor cap at s = 0
-    makes the estimate a slight underestimate, flagged LOWER."""
+    makes the estimate a slight underestimate, flagged LOWER.  This runs its
+    own p = 2 ensemble; :func:`moment_and_chaos` gives the same estimate from
+    a moment run's ensemble, averaging over its p(p-1)/2 pairs when p > 2."""
     cfg = FkConfig(
         spec=spec,
         p=2,
@@ -315,14 +367,8 @@ def chaos_k1_estimate(
         kernel_mode=kernel_mode,
         delta_floor=delta_floor,
     )
-    sizes, cp_steps, ts = time_grid([t], dt)
-    grid = _pair_kernel_grid(cfg, ts[-1], ledger)
-    _, sp = _run_blocks(cfg, sizes, cp_steps, grid, workers)
-    s_vals = 2.0 * sp[0].sum(axis=1)
-    mean = float(s_vals.mean())
-    stderr = float(s_vals.std(ddof=1) / math.sqrt(s_vals.size)) if s_vals.size > 1 else 0.0
-    log_mean = math.log(mean) if mean > 0.0 else -math.inf
-    return MomentEstimate(mean, stderr, n_paths, "LOWER", log_mean)
+    _, _, sp = _ensemble(cfg, [t], workers, ledger)
+    return _chaos_k1(sp)
 
 
 def _ratio_stats(logw_p: np.ndarray, logw_q: np.ndarray, p: int, q: int):
@@ -368,17 +414,15 @@ def intermittency_ratio(
         raise ValueError("need integer moment orders 2 <= q <= p")
     if cfg.p != p:
         cfg = replace(cfg, p=int(p))
-    sizes, cp_steps, ts = time_grid(t_grid, cfg.dt)
     if q == p:
-        return [RatioPoint(t, 1.0, 0.0, 0.0, 0.0) for t in ts]
-    grid = _pair_kernel_grid(cfg, ts[-1], ledger)
-    lu, sp = _run_blocks(cfg, sizes, cp_steps, grid, workers)
+        return [RatioPoint(t, 1.0, 0.0, 0.0, 0.0) for t in time_grid(t_grid, cfg.dt)[2]]
+    ts, lu, sp = _ensemble(cfg, t_grid, workers, ledger)
     sub = [m for m, (i, k) in enumerate(_pair_list(p)) if k < q]
     beta2 = cfg.spec.beta**2
     out = []
-    for c, t in enumerate(ts):
-        logw_p = lu[c].sum(axis=1) + beta2 * 2.0 * sp[c].sum(axis=1)
-        logw_q = lu[c][:, :q].sum(axis=1) + beta2 * 2.0 * sp[c][:, sub].sum(axis=1)
+    for t, lu_c, sp_c in zip(ts, lu, sp):
+        logw_p = _log_weights(lu_c, sp_c, beta2)
+        logw_q = _log_weights(lu_c[:, :q], sp_c[:, sub], beta2)
         ratio, se, lr, lse = _ratio_stats(logw_p, logw_q, p, q)
         out.append(RatioPoint(t, ratio, se, lr, lse))
     return out

@@ -344,6 +344,9 @@ class KernelGrid:
         else:
             logv = np.asarray(g_alpha_lower_log(spec, nodes, ledger))
         self._nodes = nodes
+        # the nodes are log-spaced, so a key's interval is computed, not searched
+        self._log_lo = math.log(nodes[0])
+        self._inv_h = (n_nodes - 1) / (math.log(nodes[-1]) - self._log_lo)
         # imported where used: scipy.interpolate, like scipy.integrate and
         # scipy.optimize, adds about 25 MB to any process that imports it
         from scipy.interpolate import PchipInterpolator
@@ -353,16 +356,35 @@ class KernelGrid:
         # np.exp, as in the lookup: math.exp can differ from it in the last bit
         self.floor_value = float(np.exp(logv[0]))
 
+    def _interval(self, s: np.ndarray) -> np.ndarray:
+        """Index of the interval holding each clipped distance s: the index
+        searchsorted(nodes, s, "right") - 1 would give, capped at the last
+        interval.  The guess from log s is off by at most one next to a node
+        (rounding of the logs and of geomspace), and one comparison each way
+        corrects it."""
+        last = len(self._nodes) - 2
+        j = np.log(s)
+        j -= self._log_lo
+        j *= self._inv_h
+        with np.errstate(invalid="ignore"):  # a NaN key casts to any index, clipped below
+            j = j.astype(np.intp)  # s >= nodes[0], so this truncation is the floor
+        np.clip(j, 0, last, out=j)
+        j -= s < self._nodes[j]
+        j += s >= self._nodes[j + 1]
+        np.minimum(j, last, out=j)
+        return j
+
     def __call__(self, d):
         """The table at distances d.  The PCHIP cubics are evaluated in numpy,
         in scipy's order, so the bits are those of PchipInterpolator; numpy
         releases the GIL in each array operation, where scipy's compiled
-        evaluation holds it, so worker threads can look up at the same time."""
+        evaluation holds it, so worker threads can look up at the same time.
+        An F-ordered d is read in its own memory order, without a copy."""
         d_arr = np.asarray(d, dtype=float)
-        s = np.clip(d_arr.ravel(), self.delta_floor, self.d_max)
-        j = np.searchsorted(self._nodes, s, "right")
-        j -= 1
-        np.minimum(j, len(self._nodes) - 2, out=j)
+        order = "F" if d_arr.flags.f_contiguous and not d_arr.flags.c_contiguous else "C"
+        flat = d_arr.ravel(order)
+        s = np.clip(flat, self.delta_floor, self.d_max)
+        j = self._interval(s)
         s -= self._nodes[j]
         # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s^3 = (s s) s, as scipy sums it
         out = self._coef[3][j]
@@ -374,10 +396,10 @@ class KernelGrid:
             out += t
             z *= s
         np.exp(out, out=out)
-        out[d_arr.ravel() > self.d_max] = 0.0
+        out[flat > self.d_max] = 0.0
         if np.isscalar(d) or d_arr.ndim == 0:
             return float(out[0])
-        return out.reshape(d_arr.shape)
+        return out.reshape(d_arr.shape, order=order)
 
 
 def covariance_form(

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from hypam import NoiseSpec, chaos_k1_estimate, fkmc
 from hypam.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from hypam.specialfn import QuadratureError
 
@@ -79,6 +80,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(None, ["noise.gamma=1"])
 
+    @pytest.mark.parametrize("key", ["model.n", "moment.p", "mc.n_paths", "mc.seed", "mc.workers"])
+    def test_integer_key_rejects_non_integers(self, key):
+        for raw in ("3.7", "true", '"3"'):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                load_config(None, [f"{key}={raw}"])
+
+    def test_integer_keys_accept_integral_numbers(self):
+        config = load_config(None, ["mc.n_paths=8192.0", "mc.seed=1e4", "model.n=4"])
+        assert (config["mc"]["n_paths"], config["mc"]["seed"], config["model"]["n"]) == (8192, 10000, 4)
+        assert all(type(config["mc"][k]) is int for k in ("n_paths", "seed"))
+
 
 class TestExitCodes:
     def test_bad_override_returns_2(self, tmp_path, capsys):
@@ -99,6 +111,12 @@ class TestExitCodes:
         out = tmp_path / "w"
         assert run("moment-mc", "--out", out, *FAST_MC, "--workers", workers) == 2
         assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not out.exists()
+
+    def test_non_integer_key_returns_2(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run("bounds", "--out", out, "--set", "model.n=3.7") == 2
+        assert capsys.readouterr().err == "error: model.n must be an integer, got 3.7\n"
         assert not out.exists()
 
     def test_missing_config_file_returns_2(self, tmp_path):
@@ -202,6 +220,41 @@ class TestMomentMc:
         assert run("moment-mc", "--out", b, *FAST_MC, "--workers", 4) == 0
         ra = jsonl_records(a / "estimates.jsonl")
         rb = jsonl_records(b / "estimates.jsonl")
+        for x, y in zip(ra, rb):
+            x["config"]["mc"]["workers"] = y["config"]["mc"]["workers"] = None
+        assert ra == rb
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_ensemble_per_run(self, tmp_path, monkeypatch, p):
+        calls = []
+        run_blocks = fkmc._run_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return run_blocks(*args)
+
+        monkeypatch.setattr(fkmc, "_run_blocks", counted)
+        assert run("moment-mc", "--out", tmp_path / "m", *FAST_MC, "--set", f"moment.p={p}") == 0
+        assert len(calls) == 1
+
+    def test_chaos_record_is_the_chaos_estimate_at_p2(self, tmp_path):
+        out = tmp_path / "m"
+        assert run("moment-mc", "--out", out, *FAST_MC) == 0
+        rec = jsonl_records(out / "estimates.jsonl")[1]
+        assert rec["kind"] == "chaos_k1"
+        spec = NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0)
+        est = chaos_k1_estimate(spec, t=0.2, dt=0.02, n_paths=1024, seed=12345)
+        got = (rec["mean"], rec["stderr"], rec["log_mean"], rec["bias"], rec["n_paths"])
+        assert got == (est.mean, est.stderr, est.log_mean, est.bias, est.n_paths)
+
+    def test_p3_records_do_not_depend_on_workers(self, tmp_path):
+        argv = (*FAST_MC, "--set", "moment.p=3", "--set", "mc.n_paths=2085")  # 2 blocks + 37
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        assert run("moment-mc", "--out", a, *argv, "--workers", 1) == 0
+        assert run("moment-mc", "--out", b, *argv, "--workers", 2) == 0
+        ra = jsonl_records(a / "estimates.jsonl")
+        rb = jsonl_records(b / "estimates.jsonl")
+        assert [r["kind"] for r in ra] == ["moment", "chaos_k1"]
         for x, y in zip(ra, rb):
             x["config"]["mc"]["workers"] = y["config"]["mc"]["workers"] = None
         assert ra == rb

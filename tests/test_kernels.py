@@ -354,6 +354,48 @@ class TestKernelGridLookup:
         assert got.shape == (3, 4, 5)
         assert np.array_equal(got, reference(d))
 
+    # the interval is computed from log d; the guess lands one off on either
+    # side next to a node, where only the one-step corrections give these bits
+
+    def test_next_to_every_node(self, pair):
+        grid, reference, nodes = pair
+        for side in (-np.inf, np.inf):
+            d = np.nextafter(nodes, side)
+            assert np.array_equal(grid(d), reference(d))
+
+    def test_fk_run_range(self, pair):
+        """A table with the range of an FK run's pair-kernel table."""
+        from scipy.interpolate import PchipInterpolator
+
+        spec, source = pair[0].spec, pair[0].source
+        floor, d_max = 1e-3, 64.0
+        ledger = ConstantLedger()
+        calibrate_lower_constant(spec, ledger)
+        nodes = np.geomspace(floor, d_max, 400)
+        if source == "exact":
+            logv = kernels._log_g_exact_n3(spec, nodes)
+        else:
+            logv = g_alpha_lower_log(spec, nodes, ledger)
+        interp = PchipInterpolator(nodes, logv, extrapolate=False)
+        grid = KernelGrid(spec, source, delta_floor=floor, d_max=d_max, ledger=ledger)
+        d = np.exp(np.random.default_rng(17).uniform(math.log(floor), math.log(d_max), 10**5))
+        assert np.array_equal(grid(d), np.exp(interp(d)))
+
+    def test_nan_distance_is_nan(self, pair):
+        grid, reference, _ = pair
+        got = grid(np.array([np.nan, 0.5]))
+        assert np.isnan(got[0]) and got[1] == reference(np.array([0.5]))[0]
+
+    def test_f_ordered_pairs(self, pair):
+        """Pair distances come F-ordered, (paths, pairs); they are read in
+        place, and any other layout gives the same values."""
+        grid, reference, _ = pair
+        d = np.asfortranarray(np.random.default_rng(5).uniform(0.0, 1.5 * self.D_MAX, (1000, 6)))
+        for view in (d, d[:, ::2], d.T):
+            got = grid(view)
+            assert got.shape == view.shape
+            assert np.array_equal(got, reference(view))
+
 
 class TestCovarianceForm:
     def test_bilinear_symmetric_positive(self):
