@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -319,16 +318,15 @@ def cmd_bounds(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[st
     cfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
     p = int(config["moment"]["p"])
     i = cfg.regime
-    betas = sorted(set(np.geomspace(0.05, 20.0, 25)) | {spec.beta})
-    rows = []
-    for b in betas:
-        th = theta(float(b), cfg)
-        ue = upper_exponent(p, float(b), cfg)
-        rows.append([float(b), p, r, th, ue, int(i)])
+    betas = np.array(sorted(set(np.geomspace(0.05, 20.0, 25)) | {spec.beta}))
+    ths = theta(betas, cfg).tolist()
+    ues = upper_exponent(p, betas, cfg).tolist()
+    rows = [[b, p, r, th, ue, int(i)] for b, th, ue in zip(betas.tolist(), ths, ues)]
     header = ["beta", "p", "r", "theta", "upper_exponent", "regime"]
     files = [_table("bounds", header, rows, args.format)]
     rho_grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
-    rows = [[float(rho), f_profile(i, float(rho), cfg), int(i)] for rho in rho_grid]
+    fs = f_profile(i, rho_grid, cfg).tolist()
+    rows = [[rho, f, int(i)] for rho, f in zip(rho_grid.tolist(), fs)]
     files.append(_table("fprofile", ["rho", "f_value", "regime"], rows, args.format))
     return 0, dict(files)
 
@@ -338,19 +336,21 @@ def cmd_phase_diagram(args, config: dict, ledger: ConstantLedger) -> tuple[int, 
     spec = build_spec(config)
     r = _r_value(config["moment"]["r"])
     bcfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
-    betas = np.geomspace(0.1, 100.0, 13)
-    ps = list(range(2, 9))
-    rows = []
-    for b in betas:
-        for p in ps:
-            low = lower_lyapunov(p, float(b), replace(spec, beta=float(b)), ledger)
-            up = upper_exponent(p, float(b), bcfg)
-            rows.append([float(b), p, low, int(low > 0.0), up, int(up > 0.0)])
+    # one row per (beta, p), beta-major, each solver called once on the whole grid
+    orders = np.arange(2, 9)
+    betas, ps = np.meshgrid(np.geomspace(0.1, 100.0, 13), orders, indexing="ij")
+    lows = lower_lyapunov(ps, betas, spec, ledger).ravel().tolist()
+    ups = upper_exponent(ps, betas, bcfg).ravel().tolist()
+    rows = [
+        [b, p, low, int(low > 0.0), up, int(up > 0.0)]
+        for b, p, low, up in zip(betas.ravel().tolist(), ps.ravel().tolist(), lows, ups)
+    ]
     header = ["beta", "p", "lower_exponent", "lower_positive", "upper_exponent", "upper_positive"]
     files = [_table("phase", header, rows, args.format)]
-    rows = [[p, beta_critical(p, spec, ledger)] for p in ps]
+    rows = list(zip(orders.tolist(), beta_critical(orders, spec, ledger).tolist()))
     files.append(_table("beta_critical", ["p", "beta_c"], rows, args.format))
-    rows = [[float(b), p_critical(float(b), spec, ledger)] for b in np.geomspace(0.5, 100.0, 9)]
+    betas = np.geomspace(0.5, 100.0, 9)
+    rows = list(zip(betas.tolist(), p_critical(betas, spec, ledger).tolist()))
     files.append(_table("p_critical", ["beta", "p_c"], rows, args.format))
     return 0, dict(files)
 

@@ -46,7 +46,7 @@ from .hyperbolic import (
 )
 from .kernels import KernelGrid, NoiseSpec, g_alpha_lower
 from .ledger import ConstantLedger
-from .renewal import Regime, regime_of
+from .renewal import Regime, _float_or_array, _moment_orders, regime_of
 
 __all__ = [
     "BLOCK_SIZE",
@@ -501,10 +501,11 @@ def q_lower(
 
 @dataclass(frozen=True)
 class QSupResult:
-    """Maximizer and value of the lower-bound profile Q over the ball radius."""
+    """Maximizer and value of the lower-bound profile Q over the ball radius:
+    floats, or arrays of the (p, beta) shape for an array call."""
 
-    r_star: float
-    value: float
+    r_star: float | np.ndarray
+    value: float | np.ndarray
 
 
 def _r_search_grid(spec: NoiseSpec, r_max: float | None, n_grid: int) -> np.ndarray:
@@ -515,11 +516,19 @@ def _r_search_grid(spec: NoiseSpec, r_max: float | None, n_grid: int) -> np.ndar
 
 
 def _q_parts(p, spec, ledger, r):
-    """The beta-independent pieces of Q at the radii r: (p-1) Gbar and the eigenvalue bound."""
+    """The beta-independent pieces of Q at the radii r: (p-1) Gbar and the
+    eigenvalue bound.  An array of p gives one row of (p-1) Gbar per order,
+    against radii shared by all rows or given one row per order."""
     spec2 = replace(spec, alpha=2.0 * spec.alpha)
-    gain = (p - 1) * np.asarray(g_alpha_lower(spec2, r, ledger))
+    gain = np.asarray(p - 1)[..., None] * np.asarray(g_alpha_lower(spec2, r, ledger))
     lam = dirichlet_eigenvalue_upper(r, spec.n, spec.K, ledger)
     return gain, lam
+
+
+def _math_map(f, x: np.ndarray) -> np.ndarray:
+    """math.log or math.exp element by element: numpy's log and exp differ
+    from math's in the last bit at some points, and the radii keep math's."""
+    return np.array([f(v) for v in x.tolist()])
 
 
 _ZOOM_POINTS = 65  # Q evaluations per zoom level in q_sup, evenly spaced in log r
@@ -527,8 +536,8 @@ _ZOOM_TOL = 1e-10  # the zoom stops once its bracket is this wide in log r
 
 
 def q_sup(
-    p: int,
-    beta: float,
+    p,
+    beta,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
     r_max: float = math.inf,
@@ -538,91 +547,129 @@ def q_sup(
     bracket between the best node's neighbours.  Each level evaluates Q as one
     array on _ZOOM_POINTS points spread evenly in log r and shrinks the bracket
     to two spacings around the best point, clamped to the first bracket, until
-    it is _ZOOM_TOL wide.  The result is never below the grid maximum."""
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError("moment order p must be an integer >= 2")
+    it is _ZOOM_TOL wide.  The result is never below the grid maximum.
+
+    p and beta broadcast against each other and one call covers all the
+    pairs: the scan is one (pairs, n_grid) array on one radius table, and
+    each zoom level one array over the pairs whose bracket is still open.
+    Scalars give float fields, arrays fields of the broadcast shape."""
+    p, beta = np.broadcast_arrays(_moment_orders(p), np.asarray(beta, dtype=float))
+    shape, p, beta = p.shape, p.ravel(), beta.ravel()
+    bb = beta * beta
     r_grid = _r_search_grid(spec, r_max, n_grid)
-    gain, lam = _q_parts(p, spec, ledger, r_grid)
-    qvals = beta * beta * gain - lam
-    j = int(np.argmax(qvals))
-    y_best, value = math.log(r_grid[j]), float(qvals[j])
-    lo = math.log(r_grid[max(0, j - 1)])
-    hi = math.log(r_grid[min(len(r_grid) - 1, j + 1)])
-    a, b = lo, hi
-    while b - a > _ZOOM_TOL:
-        y = np.linspace(a, b, _ZOOM_POINTS)
-        gain, lam = _q_parts(p, spec, ledger, np.exp(y))
-        q = beta * beta * gain - lam
-        k = int(np.argmax(q))
-        if q[k] > value:
-            y_best, value = float(y[k]), float(q[k])
-        h = y[1] - y[0]
-        a, b = max(lo, y_best - h), min(hi, y_best + h)
-    return QSupResult(r_star=math.exp(y_best), value=value)
+    q, lam = _q_parts(p, spec, ledger, r_grid)
+    q *= bb[:, None]
+    q -= lam
+    j = np.argmax(q, axis=1)
+    value = q[np.arange(j.size), j]
+    del q, lam  # the scan's (pairs, n_grid) table is not held through the zoom
+    y_best = _math_map(math.log, r_grid[j])
+    lo = _math_map(math.log, r_grid[np.maximum(j - 1, 0)])
+    hi = _math_map(math.log, r_grid[np.minimum(j + 1, n_grid - 1)])
+    a, b = lo.copy(), hi.copy()
+    act = np.flatnonzero(b - a > _ZOOM_TOL)  # pairs whose bracket is still open
+    while act.size:
+        y = np.linspace(a[act], b[act], _ZOOM_POINTS, axis=1)
+        q, lam = _q_parts(p[act], spec, ledger, np.exp(y))
+        q *= bb[act, None]
+        q -= lam
+        k = np.argmax(q, axis=1)
+        qk = q[np.arange(k.size), k]
+        better = qk > value[act]
+        y_best[act[better]] = y[better, k[better]]
+        value[act[better]] = qk[better]
+        h = y[:, 1] - y[:, 0]
+        a[act] = np.maximum(lo[act], y_best[act] - h)
+        b[act] = np.minimum(hi[act], y_best[act] + h)
+        act = act[b[act] - a[act] > _ZOOM_TOL]
+    r_star = _math_map(math.exp, y_best)
+    return QSupResult(
+        r_star=_float_or_array(r_star.reshape(shape)),
+        value=_float_or_array(value.reshape(shape)),
+    )
 
 
 def lower_lyapunov(
-    p: int,
-    beta: float,
+    p,
+    beta,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
     r_max: float = math.inf,
-) -> float:
+):
     """Lower bound on the p-th moment Lyapunov exponent:
-    p * max(sup_r Q(r), -(n-1)^2 K / 4)."""
+    p * max(sup_r Q(r), -(n-1)^2 K / 4).  p and beta broadcast as in
+    :func:`q_sup`, through one q_sup call; scalars give a float."""
     res = q_sup(p, beta, spec, ledger, r_max)
     floor = -((spec.n - 1) ** 2) * spec.K / 4.0
-    return p * max(res.value, floor)
+    return _float_or_array(_moment_orders(p) * np.maximum(res.value, floor))
 
 
-def _critical_ratio(gain: np.ndarray, lam: np.ndarray) -> float:
-    """min over the grid of lam/gain: s * gain - lam is positive at some node
-    exactly when s exceeds it (lam > 0).  Nodes where the ratio would overflow,
-    gain having underflowed, cannot hold the minimum and are skipped."""
+def _critical_ratio(gain: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """min over the grid (the last axis) of lam/gain: s * gain - lam is
+    positive at some node exactly when s exceeds it (lam > 0).  Nodes where
+    the ratio would overflow, gain having underflowed, cannot hold the minimum
+    and are skipped."""
     ok = gain > lam / np.finfo(float).max
-    if not ok.any():
+    if not ok.any(axis=-1).all():
         raise RuntimeError("the lower-bound kernel vanishes on the whole radius grid")
-    return float(np.min(lam[ok] / gain[ok]))
+    ratio = np.divide(lam, gain, out=np.full(gain.shape, math.inf), where=ok)
+    return ratio.min(axis=-1)
 
 
 def beta_critical(
-    p: int,
+    p,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
     r_max: float = math.inf,
-) -> float:
+):
     """Smallest coupling with a strictly positive lower Lyapunov exponent on
-    the 600-point radius grid: beta_c^2 = min_r lam(r) / ((p-1) Gbar(r))."""
+    the 600-point radius grid: beta_c^2 = min_r lam(r) / ((p-1) Gbar(r)).
+    Accepts a scalar or an array of p, all on one radius table; a scalar
+    gives a float."""
+    p = _moment_orders(p)
     gain, lam = _q_parts(p, spec, ledger, _r_search_grid(spec, r_max, 600))
-    return math.sqrt(_critical_ratio(gain, lam))
+    return _float_or_array(np.sqrt(_critical_ratio(gain, lam)))
 
 
 def p_critical(
-    beta: float,
+    beta,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
     r_max: float = math.inf,
-) -> int:
+):
     """Smallest integer moment order with a strictly positive lower Lyapunov
     exponent on the 600-point radius grid at the given coupling: the first p
-    with p - 1 > min_r lam(r) / (beta^2 Gbar(r))."""
-    if not (beta > 0.0):
+    with p - 1 > min_r lam(r) / (beta^2 Gbar(r)).  Accepts a scalar or an
+    array of beta, all on one radius table; a scalar gives an int."""
+    b = np.asarray(beta, dtype=float)
+    if not np.all(b > 0.0):
         raise ValueError("beta must be positive")
     gbar, lam = _q_parts(2, spec, ledger, _r_search_grid(spec, r_max, 600))
-    m = _critical_ratio(gbar, lam) / beta / beta
-    if not m < 2.0**62:
+    with np.errstate(over="ignore"):
+        m = (_critical_ratio(gbar, lam) / b / b).ravel()
+    if not np.all(m < 2.0**62):
         raise RuntimeError("no critical moment order below 2^62")
+    bb = (b * b).ravel()
 
-    def positive(p: int) -> bool:
-        return bool(np.max(beta * beta * (p - 1) * gbar - lam) > 0.0)
+    def positive(orders, rows):
+        s = bb[rows] * (orders - 1)
+        return np.max(s[:, None] * gbar - lam, axis=1) > 0.0
 
-    # the floor can land one off at a tie (m an integer) through rounding
-    p = max(2, math.floor(m) + 2)
-    while not positive(p):
-        p += 1
-    while p > 2 and positive(p - 1):
-        p -= 1
-    return p
+    # the floor can land one off at a tie (m an integer) through rounding,
+    # so each order is stepped until the strict predicate agrees
+    p = np.maximum(2, np.floor(m).astype(np.int64) + 2)
+    rows = np.arange(p.size)
+    up = rows[~positive(p, rows)]
+    while up.size:
+        p[up] += 1
+        up = up[~positive(p[up], up)]
+    down = rows[p > 2]
+    down = down[positive(p[down] - 1, down)]
+    while down.size:
+        p[down] -= 1
+        down = down[p[down] > 2]
+        down = down[positive(p[down] - 1, down)]
+    return int(p[0]) if b.ndim == 0 else p.reshape(b.shape)
 
 
 @dataclass(frozen=True)
@@ -667,10 +714,7 @@ def asymptotic_slope_check(
     case = {Regime.POWER: "A", Regime.LOG: "B", Regime.FLAT: "C"}[regime_of(spec.alpha, spec.n)]
     a, n = spec.alpha, spec.n
     if axis == "beta":
-        p = int(p_or_beta)
-        exps = np.array(
-            [lower_lyapunov(p, float(b), spec, ledger, r_max) for b in grid]
-        )
+        exps = lower_lyapunov(int(p_or_beta), grid, spec, ledger, r_max)
         if np.any(exps <= 0.0):
             raise ValueError("exponent not positive on the whole grid; raise the couplings")
         fitted = float(np.polyfit(np.log(grid), np.log(exps), 1)[0])
@@ -686,7 +730,7 @@ def asymptotic_slope_check(
     elif axis == "p":
         beta = float(p_or_beta)
         ps = [int(round(v)) for v in grid]
-        exps = np.array([lower_lyapunov(pp, beta, spec, ledger, r_max) for pp in ps])
+        exps = lower_lyapunov(np.array(ps), beta, spec, ledger, r_max)
         if np.any(exps <= 0.0):
             raise ValueError("exponent not positive on the whole grid; raise beta")
         fitted = float(np.polyfit(np.log(ps), np.log(exps), 1)[0])

@@ -118,51 +118,63 @@ def psi_upper(t: float, cfg: BoundConfig) -> float:
     return cfg.C_chaos**2 * total
 
 
-def short_time_term(i: Regime, rho: float, cfg: BoundConfig) -> float:
+def _rho_values(rho) -> np.ndarray:
+    """rho as a float array (0-d for a scalar), checked to be nonnegative."""
+    r = np.asarray(rho, dtype=float)
+    if np.any(r < 0.0):
+        raise ValueError("rho must be nonnegative")
+    return r
+
+
+def _float_or_array(out):
+    """A 0-d result as a Python float, any other as the array itself."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def short_time_term(i: Regime, rho, cfg: BoundConfig):
     """The short-time piece I_1/I_2/I_3 of the profile F_i at decay rate rho.
 
     I_1 and I_3 are honest integrals over [0, 1/2K]; I_2 is the closed-form
     full-line majorant ((ln rho + gamma)^2 + pi^2/6)/rho, which dominates the
     finite-range integral and blows up as rho -> 0 (so F_2(0) = +inf).
+    Accepts a scalar or an array of rho, rho = 0 taken per element; a scalar
+    gives a float.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    r = _rho_values(rho)
     a, n, K = cfg.spec.alpha, cfg.spec.n, cfg.spec.K
     cross = 1.0 / (2.0 * K)
+    zero = r == 0.0
+    r1 = np.where(zero, 1.0, r)  # stands in for rho = 0, whose value is the limit below
     if i == Regime.POWER:
         s = 2.0 * a - n / 2.0 + 1.0
-        if rho == 0.0:
-            return cross**s / s
-        return rho**-s * gamma_lower(s, rho * cross)
-    if i == Regime.LOG:
-        if rho == 0.0:
-            return math.inf
-        return ((math.log(rho) + EULER_GAMMA) ** 2 + math.pi**2 / 6.0) / rho
-    if i == Regime.FLAT:
-        if rho == 0.0:
-            return cross
-        return -math.expm1(-rho * cross) / rho
-    raise ValueError(f"unknown regime {i!r}")
+        out = np.where(zero, cross**s / s, r1**-s * gamma_lower(s, r1 * cross))
+    elif i == Regime.LOG:
+        out = np.where(zero, math.inf, ((np.log(r1) + EULER_GAMMA) ** 2 + math.pi**2 / 6.0) / r1)
+    elif i == Regime.FLAT:
+        out = np.where(zero, cross, -np.expm1(-r1 * cross) / r1)
+    else:
+        raise ValueError(f"unknown regime {i!r}")
+    return _float_or_array(out)
 
 
-def tail_term(rho: float, K: float) -> float:
+def tail_term(rho, K: float):
     """The long-time piece I_4: integral of (1+Ks)^(-3/2) e^(-rho s) over [1/2K, inf).
 
     Substituting u = 1 + Ks reduces it to an upper incomplete gamma of order
     -1/2, which closes as (2/K) e^(-z/2) (1/sqrt(1.5) - sqrt(pi z) erfcx(sqrt(1.5 z)))
-    with z = rho/K.
+    with z = rho/K.  Accepts a scalar or an array of rho.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    r = _rho_values(rho)
     if not (K > 0.0):
         raise ValueError("K must be positive")
-    z = rho / K
-    inner = 1.0 / math.sqrt(1.5) - math.sqrt(math.pi * z) * float(erfcx(math.sqrt(1.5 * z)))
-    return 2.0 / K * math.exp(-0.5 * z) * inner
+    z = r / K
+    inner = 1.0 / math.sqrt(1.5) - np.sqrt(math.pi * z) * erfcx(np.sqrt(1.5 * z))
+    return _float_or_array(2.0 / K * np.exp(-0.5 * z) * inner)
 
 
-def f_profile(i: Regime, rho: float, cfg: BoundConfig) -> float:
-    """Profile F_i(rho) = short-time term + tail term; +inf only at (i=2, rho=0)."""
+def f_profile(i: Regime, rho, cfg: BoundConfig):
+    """Profile F_i(rho) = short-time term + tail term; +inf only at (i=2, rho=0).
+    Accepts a scalar or an array of rho; a scalar gives a float."""
     if i != cfg.regime:
         raise ValueError(
             f"regime mismatch: requested {Regime(i).name}, "
@@ -171,35 +183,46 @@ def f_profile(i: Regime, rho: float, cfg: BoundConfig) -> float:
     return short_time_term(i, rho, cfg) + tail_term(rho, cfg.spec.K)
 
 
-def theta(beta: float, cfg: BoundConfig, tol: float = 1e-8) -> float:
+def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     """Moment growth rate: the unique rho with F_i(rho) = 1/(C_chaos beta^2),
-    or 0 when no crossing exists (small beta).
+    or 0 when no crossing exists (small beta, and beta = 0, whose level is +inf).
 
     F_i is continuous and strictly decreasing with limit 0, so the root is
-    bracketed by doubling and pinned by bisection to relative tolerance."""
-    if not (beta > 0.0):
-        raise ValueError("beta must be positive")
+    bracketed by doubling and pinned by bisection to relative tolerance.
+    Accepts a scalar or an array of beta (a scalar gives a float): every
+    target doubles and bisects in the same F_i calls, and leaves them once
+    its own bracket has closed."""
+    b = np.asarray(beta, dtype=float)
+    if not np.all(b >= 0.0):
+        raise ValueError("beta must be nonnegative")
     i = cfg.regime
-    target = 1.0 / (cfg.C_chaos * beta * beta)
+    with np.errstate(divide="ignore", over="ignore"):
+        target = 1.0 / (cfg.C_chaos * b * b)
     f0 = f_profile(i, 0.0, cfg)
-    if target >= f0:
-        return 0.0
-    lo, hi = 0.0, 1.0
+    crossing = np.flatnonzero(target < f0)
+    target = target.ravel()[crossing]
+    lo, hi = np.zeros(crossing.size), np.ones(crossing.size)
+    todo = np.arange(crossing.size)  # targets still in the loop
     for _ in range(200):
-        if f_profile(i, hi, cfg) < target:
+        if todo.size == 0:
             break
-        lo, hi = hi, 2.0 * hi
-    else:
+        todo = todo[~(f_profile(i, hi[todo], cfg) < target[todo])]
+        lo[todo] = hi[todo]
+        hi[todo] *= 2.0
+    if todo.size:
         raise RuntimeError("failed to bracket the growth rate")
+    todo = np.arange(crossing.size)
     for _ in range(400):
-        if hi - lo <= tol * hi:
+        todo = todo[~(hi[todo] - lo[todo] <= tol * hi[todo])]
+        if todo.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        if f_profile(i, mid, cfg) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[todo] + hi[todo])
+        above = f_profile(i, mid, cfg) > target[todo]
+        lo[todo[above]] = mid[above]
+        hi[todo[~above]] = mid[~above]
+    out = np.zeros(b.shape)
+    out.flat[crossing] = 0.5 * (lo + hi)
+    return _float_or_array(out)
 
 
 def theta_slope_report(
@@ -218,7 +241,7 @@ def theta_slope_report(
     """
     a, n = cfg.spec.alpha, cfg.spec.n
     betas = np.geomspace(beta_lo, beta_hi, n_pts)
-    thetas = np.array([theta(float(b), cfg) for b in betas])
+    thetas = theta(betas, cfg)
     if np.any(thetas <= 0.0):
         raise ValueError("slope fit needs beta large enough that theta > 0 throughout")
     slope = float(np.polyfit(np.log(betas**2), np.log(thetas), 1)[0])
@@ -235,13 +258,23 @@ def theta_slope_report(
     return {"regime": int(i), "fitted": slope, "candidates": candidates}
 
 
-def upper_exponent(p: int, beta: float, cfg: BoundConfig) -> float:
-    """p-th moment upper Lyapunov exponent:
-    (p/2) (theta(sqrt(p-1) beta) - (n-1)^2 K / max(2, r))."""
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
+def _moment_orders(p) -> np.ndarray:
+    """p as an integer array (0-d for a scalar), every entry checked to be >= 2."""
+    orders = np.asarray(p)
+    if not (orders.dtype.kind in "iu" and np.all(orders >= 2)):
         raise ValueError("moment order p must be an integer >= 2")
-    th = theta(math.sqrt(p - 1.0) * beta, cfg)
-    return 0.5 * p * (th - 2.0 * cfg.b)
+    return orders
+
+
+def upper_exponent(p, beta, cfg: BoundConfig):
+    """p-th moment upper Lyapunov exponent:
+    (p/2) (theta(sqrt(p-1) beta) - (n-1)^2 K / max(2, r)).
+
+    p and beta broadcast against each other, and one theta call covers them
+    all; scalars give a float."""
+    p = _moment_orders(p)
+    th = theta(np.sqrt(p - 1.0) * beta, cfg)
+    return _float_or_array(0.5 * p * (th - 2.0 * cfg.b))
 
 
 def semigroup_decay_bound(

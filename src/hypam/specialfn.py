@@ -108,14 +108,18 @@ def _check_order(s: float) -> None:
         raise ValueError("order s must be finite")
 
 
-def gamma_lower(s: float, x: float) -> float:
-    """Integral of t**(s-1) e**(-t) over [0, x]; requires s > 0, x >= 0."""
+def gamma_lower(s: float, x):
+    """Integral of t**(s-1) e**(-t) over [0, x]; requires s > 0, x >= 0.
+
+    Accepts a scalar or an array of x; a scalar gives a float."""
     _check_order(s)
     if not s > 0.0:
         raise ValueError("gamma_lower requires s > 0")
-    if not (math.isfinite(x) and x >= 0.0):
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x_arr) & (x_arr >= 0.0)):
         raise ValueError("gamma_lower requires finite x >= 0")
-    return float(_sp.gammainc(s, x) * _sp.gamma(s))
+    out = _sp.gammainc(s, x_arr) * _sp.gamma(s)
+    return float(out) if out.ndim == 0 else out
 
 
 def gamma_upper(s: float, x: float) -> float:

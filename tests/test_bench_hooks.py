@@ -62,3 +62,23 @@ def test_sim_span_counts_block_steps():
     assert totals["fkmc.sim"]["points"] == 100 * 5  # block_size x steps
     assert totals["hyperbolic.brownian_step"]["points"] == 100 * 2 * 5
     assert totals["rng.stream_generator"]["calls"] == 1
+
+
+def test_phase_diagram_calls_each_solver_once(tmp_path):
+    # the solvers take the whole (p, beta) grid, so the bound_scans layer
+    # metrics count one call per grid; an empty layer would mean a lost hook
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "probe"
+        assert hypam.cli.main(["phase-diagram", "--out", str(tmp_path / "pd")]) == 0
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    totals = TRACER.layer_totals(tracer)["probe"]
+    assert totals["fkmc.q_sup"]["calls"] == 1
+    assert totals["fkmc.beta_critical"]["calls"] == 1
+    assert totals["fkmc.p_critical"]["calls"] == 1
+    assert totals["renewal.theta"]["calls"] >= 1
+    assert totals["renewal.f_profile.in_theta"]["calls"] >= 1
+    assert totals["kernels.g_alpha_lower_log"]["points"] > 0

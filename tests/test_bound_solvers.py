@@ -16,7 +16,9 @@ from hypam import (
     NoiseSpec,
     beta_critical,
     dirichlet_eigenvalue_upper,
+    fkmc,
     g_alpha_lower,
+    lower_lyapunov,
     p_critical,
     q_lower,
     q_sup,
@@ -173,3 +175,150 @@ def test_p_critical_brackets_beta(spec, beta):
     assert beta > beta_critical(p, spec) * (1.0 - 1e-12)
     if p > 2:
         assert beta <= beta_critical(p - 1, spec) * (1.0 + 1e-12)
+
+
+def same_bits(a, b):
+    """Equal values bit for bit (a -0.0 differs from a 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def zoom_levels(monkeypatch, p, beta, spec):
+    """How many zoom levels a scalar q_sup call runs: its Q evaluations after the scan."""
+    calls = []
+    original = fkmc._q_parts
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(fkmc, "_q_parts", counted)
+    q_sup(p, beta, spec)
+    monkeypatch.setattr(fkmc, "_q_parts", original)
+    return len(calls) - 1
+
+
+# the phase-diagram grid, beta-major
+GRID_BETAS, GRID_PS = np.meshgrid(np.geomspace(0.1, 100.0, 13), np.arange(2, 9), indexing="ij")
+
+
+class TestArraySolvers:
+    @pytest.mark.parametrize("spec", [SPEC, NoiseSpec(1.25, 0.5, 5, 2.0), NoiseSpec(0.8, 0.5, 4, 1.0)])
+    def test_q_sup_grid_equals_scalar_calls(self, spec):
+        res = q_sup(GRID_PS, GRID_BETAS, spec)
+        low = lower_lyapunov(GRID_PS, GRID_BETAS, spec)
+        assert res.value.shape == res.r_star.shape == low.shape == GRID_PS.shape
+        for idx in np.ndindex(GRID_PS.shape):
+            p, beta = int(GRID_PS[idx]), float(GRID_BETAS[idx])
+            one = q_sup(p, beta, spec)
+            assert type(one.value) is float and type(one.r_star) is float
+            assert same_bits(res.value[idx], one.value), (p, beta)
+            assert same_bits(res.r_star[idx], one.r_star), (p, beta)
+            assert same_bits(low[idx], lower_lyapunov(p, beta, spec)), (p, beta)
+
+    @pytest.mark.parametrize("spec", [SPEC, NoiseSpec(0.8, 0.5, 4, 1.0)])
+    def test_grid_pairs_finish_at_different_levels(self, spec, monkeypatch):
+        # the masked zoom is exercised only if some pairs close their brackets first
+        levels = {
+            zoom_levels(monkeypatch, int(p), float(b), spec)
+            for p, b in zip(GRID_PS.ravel(), GRID_BETAS.ravel())
+        }
+        assert len(levels) > 1
+
+    def test_closed_pairs_leave_the_zoom(self, monkeypatch):
+        # each zoom level of a grid call evaluates exactly the pairs whose
+        # scalar call runs that level, so a closed bracket stops moving
+        levels = [
+            zoom_levels(monkeypatch, int(p), float(b), SPEC)
+            for p, b in zip(GRID_PS.ravel(), GRID_BETAS.ravel())
+        ]
+        shapes = []
+        original = fkmc._q_parts
+
+        def recorded(p, spec, ledger, r):
+            shapes.append(np.shape(r))
+            return original(p, spec, ledger, r)
+
+        monkeypatch.setattr(fkmc, "_q_parts", recorded)
+        q_sup(GRID_PS, GRID_BETAS, SPEC)
+        assert shapes[0] == (600,)
+        assert [rows for rows, _ in shapes[1:]] == [
+            sum(n > k for n in levels) for k in range(max(levels))
+        ]
+
+    def test_upper_end_pair_in_a_grid(self):
+        ps, betas = np.array([2, 2, 4, 2]), np.array([0.1, 15.0, 40.0, 0.1])
+        res = q_sup(ps, betas, SPEC)
+        assert res.r_star[0] == res.r_star[3] == pytest.approx(1e3, rel=1e-12)
+        for k in range(4):
+            one = q_sup(int(ps[k]), float(betas[k]), SPEC)
+            assert same_bits(res.value[k], one.value)
+            assert same_bits(res.r_star[k], one.r_star)
+
+    def test_broadcast_and_r_max(self):
+        betas = np.array([[0.5, 3.0], [20.0, 200.0]])
+        res = q_sup(3, betas, SPEC, r_max=0.5)
+        assert res.value.shape == (2, 2)
+        for idx in np.ndindex(betas.shape):
+            one = q_sup(3, float(betas[idx]), SPEC, r_max=0.5)
+            assert same_bits(res.value[idx], one.value)
+            assert same_bits(res.r_star[idx], one.r_star)
+
+    @pytest.mark.parametrize("n, alpha", CONFIGS)
+    def test_critical_arrays_equal_scalar_calls(self, n, alpha):
+        spec = NoiseSpec(alpha, 0.5, n, 1.0)
+        ps = np.arange(2, 9)
+        bcs = beta_critical(ps, spec)
+        assert same_bits(bcs, [beta_critical(int(p), spec) for p in ps])
+        gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, math.inf, 600))
+        ok = gbar > 0.0
+        with np.errstate(over="ignore"):
+            m = float(np.min(lam[ok] / gbar[ok]))
+        # the ties beta = sqrt(m/k), where the floor can land one off, and the phase-diagram grid
+        betas = np.concatenate(
+            [[math.sqrt(m / k) for k in range(1, 16)], np.geomspace(0.5, 100.0, 9)]
+        )
+        pcs = p_critical(betas, spec)
+        assert pcs.dtype.kind == "i"
+        assert pcs.tolist() == [p_critical(float(b), spec) for b in betas]
+        assert type(p_critical(float(betas[0]), spec)) is int
+        assert p_critical(betas.reshape(4, 6), spec).tolist() == pcs.reshape(4, 6).tolist()
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, alpha in CONFIGS:
+                spec = NoiseSpec(alpha, 0.5, n, 1.0)
+                lower_lyapunov(GRID_PS, GRID_BETAS, spec)
+                lower_lyapunov(2, np.array([0.0, 1e-3, 1e3]), spec)
+                beta_critical(np.arange(2, 9), spec)
+                p_critical(np.geomspace(0.5, 100.0, 9), spec)
+                p_critical(np.array([80.0, 2.0]), spec, r_max=0.5)
+
+    def test_array_errors(self):
+        with pytest.raises(ValueError):
+            q_sup(np.array([2, 1]), 1.0, SPEC)
+        with pytest.raises(ValueError):
+            q_sup(np.array([2.0, 3.0]), 1.0, SPEC)
+        with pytest.raises(ValueError):
+            beta_critical(np.array([2, 1]), SPEC)
+        with pytest.raises(ValueError):
+            p_critical(np.array([1.0, 0.0]), SPEC)
+        with pytest.raises(RuntimeError):
+            p_critical(np.array([1.0, 1e-160]), SPEC)
+
+
+pairs = st.lists(st.tuples(st.integers(2, 8), st.floats(0.0, 300.0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(spec=specs, pairs=pairs)
+def test_array_q_sup_equals_scalar_calls(spec, pairs):
+    ps, betas = np.array([p for p, _ in pairs]), np.array([b for _, b in pairs])
+    res = q_sup(ps, betas, spec)
+    low = lower_lyapunov(ps, betas, spec)
+    for k, (p, beta) in enumerate(pairs):
+        one = q_sup(p, beta, spec)
+        assert same_bits(res.value[k], one.value)
+        assert same_bits(res.r_star[k], one.r_star)
+        assert same_bits(low[k], lower_lyapunov(p, beta, spec))

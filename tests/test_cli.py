@@ -306,6 +306,17 @@ class TestBounds:
         assert (out / "bounds.jsonl").exists()
         assert (out / "fprofile.jsonl").exists()
 
+    def test_zero_beta(self, tmp_path):
+        # beta = 0 is a valid noise strength: theta is 0, so the exponent is -p b
+        out = tmp_path / "b0"
+        argv = ("--set", "noise.beta=0", "--set", "moment.p=3", "--set", "moment.r=2")
+        assert run("bounds", "--out", out, *argv) == 0
+        with open(out / "bounds.csv", newline="") as f:
+            rows = [r for r in csv.DictReader(f) if float(r["beta"]) == 0.0]
+        assert len(rows) == 1
+        assert float(rows[0]["theta"]) == 0.0
+        assert float(rows[0]["upper_exponent"]) == -3.0  # b = (n-1)^2 K / (2 max(2, r)) = 1
+
 
 class TestSlopeCheck:
     def test_beta_axis_passes(self, tmp_path):

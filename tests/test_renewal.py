@@ -1,7 +1,9 @@
 """Renewal-type upper bounds: profiles, the growth-rate inversion, and decay."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -239,3 +241,140 @@ class TestSemigroupDecay:
             semigroup_decay_bound(1.0, 0.5, 1.0, cfg)
         with pytest.raises(ValueError):
             semigroup_decay_bound(1.0, math.nan, 1.0, cfg)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (alpha, regime) below, at and above n/4 in n = 3, and in n = 5 with K = 2
+PROFILE_CASES = [
+    (cfg_for(0.5), Regime.POWER),
+    (cfg_for(0.75), Regime.LOG),
+    (cfg_for(1.0), Regime.FLAT),
+    (cfg_for(1.0, n=5, K=2.0, C_chaos=1.5), Regime.POWER),
+    (cfg_for(1.25, n=5, K=2.0), Regime.LOG),
+    (cfg_for(2.0, n=5, K=2.0, r=2.0), Regime.FLAT),
+]
+
+
+def f_math(i, rho, cfg):
+    """F_i(rho) on scalars, from math (and mpmath for the lower incomplete gamma)."""
+    a, n, K = cfg.spec.alpha, cfg.spec.n, cfg.spec.K
+    c = 1.0 / (2.0 * K)
+    if i == Regime.POWER:
+        s = 2.0 * a - n / 2.0 + 1.0
+        short = c**s / s if rho == 0.0 else float(mpmath.gammainc(s, 0, rho * c)) * rho**-s
+    elif i == Regime.LOG:
+        short = math.inf if rho == 0.0 else ((math.log(rho) + EULER_GAMMA) ** 2 + math.pi**2 / 6.0) / rho
+    else:
+        short = c if rho == 0.0 else -math.expm1(-rho * c) / rho
+    z = rho / K
+    # erfcx(x) = e^(x^2) erfc(x), taken in mpmath to stay accurate at large x
+    erfcx = float(mpmath.exp(1.5 * z) * mpmath.erfc(mpmath.sqrt(1.5 * z)))
+    tail = 2.0 / K * math.exp(-0.5 * z) * (1.0 / math.sqrt(1.5) - math.sqrt(math.pi * z) * erfcx)
+    return short + tail
+
+
+def theta_math(beta, cfg, rel_tol=1e-13):
+    """The growth rate by a scalar doubling and bisection on f_math."""
+    i = cfg.regime
+    if beta == 0.0:
+        return 0.0
+    target = 1.0 / (cfg.C_chaos * beta * beta)
+    if target >= f_math(i, 0.0, cfg):
+        return 0.0
+    hi = 1.0
+    while f_math(i, hi, cfg) >= target:
+        hi *= 2.0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if f_math(i, mid, cfg) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestArrayProfiles:
+    RHOS = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61), [0.0, 5.0]))
+
+    @pytest.mark.parametrize("cfg, i", PROFILE_CASES)
+    def test_array_equals_scalar_calls(self, cfg, i):
+        vals = f_profile(i, self.RHOS, cfg)
+        assert same_bits(vals, [f_profile(i, float(r), cfg) for r in self.RHOS])
+        assert same_bits(
+            short_time_term(i, self.RHOS, cfg),
+            [short_time_term(i, float(r), cfg) for r in self.RHOS],
+        )
+        K = cfg.spec.K
+        assert same_bits(tail_term(self.RHOS, K), [tail_term(float(r), K) for r in self.RHOS])
+        assert type(f_profile(i, 0.0, cfg)) is float
+        assert same_bits(f_profile(i, self.RHOS.reshape(8, 8), cfg), vals.reshape(8, 8))
+
+    @pytest.mark.parametrize("cfg, i", PROFILE_CASES)
+    def test_against_math_profile(self, cfg, i):
+        for rho in self.RHOS:
+            ref = f_math(i, float(rho), cfg)
+            got = f_profile(i, float(rho), cfg)
+            assert got == ref or got == pytest.approx(ref, rel=1e-13), rho
+
+    def test_negative_rho_in_array(self):
+        cfg = cfg_for(1.0)
+        with pytest.raises(ValueError):
+            f_profile(3, np.array([0.0, -1e-3]), cfg)
+        with pytest.raises(ValueError):
+            tail_term(np.array([1.0, -1.0]), 1.0)
+
+
+class TestArrayTheta:
+    BETAS = np.array([0.0, 0.01, 0.3, 0.5, 0.7, 1.0, 2.5, 7.0, 20.0, 150.0, 1e3])
+
+    @pytest.mark.parametrize("cfg, i", PROFILE_CASES)
+    def test_array_equals_scalar_calls(self, cfg, i):
+        ths = theta(self.BETAS, cfg)
+        assert same_bits(ths, [theta(float(b), cfg) for b in self.BETAS])
+        assert same_bits(theta(self.BETAS[::-1].reshape(1, 11), cfg), ths[::-1].reshape(1, 11))
+
+    @pytest.mark.parametrize("cfg, i", PROFILE_CASES)
+    def test_against_math_bisection(self, cfg, i):
+        for beta, th in zip(self.BETAS, theta(self.BETAS, cfg)):
+            ref = theta_math(float(beta), cfg)
+            if ref == 0.0:
+                assert th == 0.0, beta
+            else:
+                assert th == pytest.approx(ref, rel=2e-8), beta
+
+    def test_zero_beta(self):
+        # the level 1/(C beta^2) is +inf at beta = 0, so there is no crossing,
+        # also in the log regime where F_2(0) = +inf
+        for cfg, _ in PROFILE_CASES:
+            assert theta(0.0, cfg) == 0.0
+            assert upper_exponent(3, 0.0, cfg) == -3.0 * cfg.b
+        with pytest.raises(ValueError):
+            theta(-1e-3, cfg_for(1.0))
+        with pytest.raises(ValueError):
+            theta(np.array([1.0, -1.0]), cfg_for(1.0))
+        with pytest.raises(ValueError):
+            theta(math.nan, cfg_for(1.0))
+
+    def test_upper_exponent_grid(self):
+        cfg = cfg_for(1.0, r=2.0)
+        ps, betas = np.meshgrid(np.arange(2, 9), self.BETAS, indexing="ij")
+        ues = upper_exponent(ps, betas, cfg)
+        assert ues.shape == ps.shape
+        for idx in np.ndindex(ps.shape):
+            one = upper_exponent(int(ps[idx]), float(betas[idx]), cfg)
+            assert type(one) is float
+            assert same_bits(ues[idx], one)
+        with pytest.raises(ValueError):
+            upper_exponent(np.array([2, 1]), 1.0, cfg)
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg, _ in PROFILE_CASES:
+                theta(np.array([0.0, 1e-170, 0.5, 1e3]), cfg)
+                f_profile(cfg.regime, np.array([0.0, 1e-300, 1e6]), cfg)
