@@ -161,18 +161,20 @@ def _pair_list(p: int) -> list[tuple[int, int]]:
 
 
 def _pair_distances(X: np.ndarray, I: np.ndarray, J: np.ndarray, K: float) -> np.ndarray:
-    """d(X[:, I[m]], X[:, J[m]]) as an (N, P) array, gathered one coordinate
-    at a time: the bits of distance_coords without an (N, P, n+1) copy of X."""
-    s = X[:, I, 1] * X[:, J, 1]
-    for c in range(2, X.shape[-1]):
-        s += X[:, I, c] * X[:, J, c]
-    q = X[:, I, 0] * X[:, J, 0]
+    """d(X[:, I[m]], X[:, J[m]]) as an F-ordered (N, P) array, one pair per
+    contiguous column, gathered one coordinate at a time from X.T: the bits
+    of distance_coords without an (N, P, n+1) copy of X."""
+    Xt = X.T
+    s = Xt[1, I] * Xt[1, J]
+    for c in range(2, len(Xt)):
+        s += Xt[c, I] * Xt[c, J]
+    q = Xt[0, I] * Xt[0, J]
     q -= s
     q *= K
     np.maximum(q, 1.0, out=q)
     np.arccosh(q, out=q)
     q /= math.sqrt(K)
-    return q
+    return q.T
 
 
 def _simulate_block(cfg, block_index, block_size, sizes, cp_steps, grid):
@@ -187,8 +189,9 @@ def _simulate_block(cfg, block_index, block_size, sizes, cp_steps, grid):
     n, K, p = spec.n, spec.K, cfg.p
     base = ModelPoint.basepoint(n, K).coords
     I, J = np.array(_pair_list(p)).T
-    s_accum = np.zeros((block_size, len(I)))
-    k_prev = np.full((block_size, len(I)), grid(0.0))
+    # F-ordered, as _pair_distances returns the pair distances
+    s_accum = np.zeros((block_size, len(I)), order="F")
+    k_prev = np.full((block_size, len(I)), grid(0.0), order="F")
     lu = np.empty((len(cp_steps), block_size, p))
     sp = np.empty((len(cp_steps), block_size, len(I)))
     for h, X, c in walk_block(base, (block_size, p), cfg.seed, block_index, sizes, cp_steps, K):
@@ -732,7 +735,12 @@ def asymptotic_slope_check(
         ps = [int(round(v)) for v in grid]
         exps = lower_lyapunov(np.array(ps), beta, spec, ledger, r_max)
         if np.any(exps <= 0.0):
-            raise ValueError("exponent not positive on the whole grid; raise beta")
+            # beta_critical falls with p, so the smallest order needs the most
+            need = beta_critical(min(ps), spec, ledger, r_max)
+            raise ValueError(
+                "exponent not positive on the whole grid; raise beta above "
+                f"beta_critical = {need:.4g} at p = {min(ps)}"
+            )
         fitted = float(np.polyfit(np.log(ps), np.log(exps), 1)[0])
         ratios = exps / np.array([pp * (pp - 1.0) for pp in ps])
         spread = float(ratios.max() / ratios.min() - 1.0)

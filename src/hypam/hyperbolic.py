@@ -214,11 +214,7 @@ def renormalize_coords(X: np.ndarray, K: float) -> np.ndarray:
     it stays exact arbitrarily far from the base point, where the difference
     of the two squares carries no significant bits.
     """
-    return _renormalize(np.array(X, dtype=float), K)
-
-
-def _renormalize(X: np.ndarray, K: float) -> np.ndarray:
-    """renormalize_coords in place, on a float array the caller owns."""
+    X = np.array(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("cannot renormalize: coordinates are not finite")
     X[..., 0] = np.sqrt(1.0 / K + _dot(X[..., 1:], X[..., 1:]))
@@ -236,20 +232,15 @@ def exp_map_coords(
     (e.g. from an isometrically transported frame vector) must pass it.
     """
     X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
+    V = np.array(V, dtype=float)  # a copy: the result is built in it
     if norm is None:
         q = minkowski_inner(V, V)
         # tangent vectors are spacelike: the Riemannian length is sqrt(-<v,v>_L)
         r = np.sqrt(np.maximum(-q, 0.0))
     else:
         r = np.asarray(norm, dtype=float)
-    return _exp_map(X, np.array(V), math.sqrt(K) * r)
-
-
-def _exp_map(X: np.ndarray, V: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """exp_map_coords in place on V, a float array the caller owns, given
-    a = sqrt(K) |V|: sinh(a)/a V + cosh(a) X, the bits of cosh(a) X +
-    sinh(a)/a V, since the sum commutes."""
+    # sinh(a)/a V + cosh(a) X with a = sqrt(K) |V|
+    a = math.sqrt(K) * r
     fac = np.divide(np.sinh(a), a, out=np.ones_like(a), where=a > 1e-12)
     V *= fac[..., None]
     ch = np.cosh(a, out=fac)
@@ -292,24 +283,71 @@ def tangent_at(X: np.ndarray, xi: np.ndarray, K: float) -> np.ndarray:
 
 
 def brownian_step(X: np.ndarray, rng, dt: float, K: float) -> np.ndarray:
-    """One geodesic random-walk step of duration dt for every point in X.
+    """One geodesic random-walk step of duration dt for every point in X;
+    returns the new points as a new array in X's memory layout.
 
     rng is a generator, or a list of them, one per block of X's leading axis:
     generator k fills the rows of block k (rows k * BLOCK_SIZE onward), the
-    last one every row that is left."""
+    last one every row that is left.
+
+    The step is tangent_at, exp_map_coords with the known step length and
+    renormalize_coords, bit for bit, computed over X.T: on coordinate-major
+    memory (X.T C-contiguous, as walk_block keeps it) every pass is
+    contiguous.  The timelike coordinate of the exp map is not formed, since
+    renormalization replaces it."""
+    if X.ndim == 1:  # one point: the one-row array's step
+        return brownian_step(X[None], rng, dt, K)[0]
     n = X.shape[-1] - 1
-    xi = np.empty(X.shape[:-1] + (n,))
+    sk = math.sqrt(K)
+    out = np.empty_like(X)
+    # the normals are drawn into the front of out's memory, in stream order
+    normals = out.ravel(order="K")[: out.size // (n + 1) * n].reshape(X.shape[:-1] + (n,))
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     for k, g in enumerate(rngs):
         stop = (k + 1) * BLOCK_SIZE if k + 1 < len(rngs) else None
-        g.standard_normal(out=xi[k * BLOCK_SIZE : stop])
-    xi *= math.sqrt(2.0 * dt)
-    V = tangent_at(X, xi, K)
+        g.standard_normal(out=normals[k * BLOCK_SIZE : stop])
+    xi = np.multiply(normals.T, math.sqrt(2.0 * dt), order="C")
+    Xt, Yt = X.T, out.T[1:]  # Yt: the spatial coordinates of the result
     # the transport is an isometry, so the step length is known exactly
-    a = np.sqrt(_dot(xi, xi))
-    del xi  # from here on X and V are the only full-size arrays
-    a *= math.sqrt(K)
-    return _renormalize(_exp_map(X, V, a), K)
+    np.multiply(xi, xi, out=Yt)
+    a = _coordinate_sum(Yt)
+    np.sqrt(a, out=a)
+    a *= sk
+    # f = -<Xh, (0, xi)>_L / (1 + Xh_0) on the unit-hyperboloid copy Xh = sk X
+    np.multiply(Xt[1:], sk, out=Yt)
+    Yt *= xi
+    f = _coordinate_sum(Yt)
+    np.negative(f, out=f)
+    den = np.multiply(Xt[0], sk)
+    den += 1.0
+    f /= den
+    # V = xi - f Xh is the transported vector; Y = sinh(a)/a V + cosh(a) X
+    np.multiply(Xt[1:], sk, out=Yt)
+    Yt *= f
+    np.subtract(xi, Yt, out=Yt)
+    fac = f  # f's buffer is free from here on
+    fac.fill(1.0)
+    np.divide(np.sinh(a, out=den), a, out=fac, where=a > 1e-12)
+    Yt *= fac
+    np.cosh(a, out=a)
+    np.multiply(Xt[1:], a, out=xi)  # xi's buffer is free from here on
+    Yt += xi
+    if not np.isfinite(Yt).all():
+        raise ValueError("cannot renormalize: coordinates are not finite")
+    np.multiply(Yt, Yt, out=xi)
+    x0 = _coordinate_sum(xi)
+    np.add(1.0 / K, x0, out=x0)
+    np.sqrt(x0, out=out.T[0])
+    return out
+
+
+def _coordinate_sum(Q: np.ndarray) -> np.ndarray:
+    """Q[0] + Q[1] + ... left to right, as a new array: the bits of _dot's
+    loop, over the leading axis of a coordinate-major array."""
+    s = np.add(Q[0], Q[1]) if len(Q) > 1 else Q[0].copy()
+    for q in Q[2:]:
+        s += q
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +407,11 @@ def walk_block(x0: np.ndarray, shape: tuple, seed: int, block: int, sizes, cp_st
     the step sizes.  shape[0] may span several consecutive blocks: block
     `block` + k, rows k * BLOCK_SIZE onward, draws from stream (seed,
     block + k).  Yields (h, X, c) after each step: its size, the positions,
-    and the checkpoint it ends on, or None."""
+    and the checkpoint it ends on, or None.  X has shape shape + x0.shape in
+    coordinate-major memory (Fortran order: X.T is C-contiguous), so each
+    coordinate of every path is one contiguous vector."""
     rngs = [stream_generator(seed, block + k) for k in range(-(-shape[0] // BLOCK_SIZE))]
-    X = np.broadcast_to(x0, shape + x0.shape).copy()
+    X = np.broadcast_to(x0, shape + x0.shape).copy(order="F")
     cp_at = {s: c for c, s in enumerate(cp_steps)}
     for step, h in enumerate(sizes, start=1):
         X = brownian_step(X, rngs, float(h), K)

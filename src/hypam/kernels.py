@@ -368,9 +368,10 @@ class KernelGrid:
         j *= self._inv_h
         with np.errstate(invalid="ignore"):  # a NaN key casts to any index, clipped below
             j = j.astype(np.intp)  # s >= nodes[0], so this truncation is the floor
-        np.clip(j, 0, last, out=j)
-        j -= s < self._nodes[j]
-        j += s >= self._nodes[j + 1]
+        np.maximum(j, 0, out=j)
+        np.minimum(j, last, out=j)
+        j -= s < self._nodes.take(j)
+        j += s >= self._nodes.take(j + 1)
         np.minimum(j, last, out=j)
         return j
 
@@ -383,20 +384,26 @@ class KernelGrid:
         d_arr = np.asarray(d, dtype=float)
         order = "F" if d_arr.flags.f_contiguous and not d_arr.flags.c_contiguous else "C"
         flat = d_arr.ravel(order)
-        s = np.clip(flat, self.delta_floor, self.d_max)
+        s = np.maximum(flat, self.delta_floor)
+        np.minimum(s, self.d_max, out=s)
         j = self._interval(s)
-        s -= self._nodes[j]
+        s -= self._nodes.take(j)
         # ((c3 + c2 s) + c1 s^2) + c0 s^3 with s^3 = (s s) s, as scipy sums it
-        out = self._coef[3][j]
-        z = s.copy()
-        t = np.empty_like(s)
-        for c in self._coef[2::-1]:
-            np.take(c, j, out=t, mode="clip")  # j is in range; "raise" would buffer
-            t *= z
-            out += t
-            z *= s
+        c0, c1, c2, c3 = self._coef
+        out = c3.take(j)
+        t = c2.take(j)
+        t *= s
+        out += t
+        z = s * s
+        np.take(c1, j, out=t, mode="clip")  # j is in range; "raise" would buffer
+        t *= z
+        out += t
+        z *= s
+        np.take(c0, j, out=t, mode="clip")
+        t *= z
+        out += t
         np.exp(out, out=out)
-        out[flat > self.d_max] = 0.0
+        np.copyto(out, 0.0, where=flat > self.d_max)
         if np.isscalar(d) or d_arr.ndim == 0:
             return float(out[0])
         return out.reshape(d_arr.shape, order=order)

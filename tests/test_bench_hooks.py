@@ -12,6 +12,7 @@ import pytest
 
 import hypam.cli  # noqa: F401  the tracer patches every loaded hypam module
 from hypam import FkConfig, NoiseSpec, RadialProfile, fkmc, moment_estimate
+from hypam.hyperbolic import BLOCK_SIZE
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -82,3 +83,32 @@ def test_phase_diagram_calls_each_solver_once(tmp_path):
     assert totals["renewal.theta"]["calls"] >= 1
     assert totals["renewal.f_profile.in_theta"]["calls"] >= 1
     assert totals["kernels.g_alpha_lower_log"]["points"] > 0
+
+
+def test_grouped_run_keeps_the_tracer_counts():
+    # three blocks (the last ragged) on two workers: two groups, each stepping
+    # a coordinate-major state that the tracer still counts by shape[:-1]
+    n_paths, p, steps = 2 * BLOCK_SIZE + 5, 3, 5
+    cfg = FkConfig(
+        spec=NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0),
+        p=p,
+        t_end=0.05,
+        dt=0.01,
+        n_paths=n_paths,
+        seed=1,
+        u0=RadialProfile.constant(1.0),
+    )
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "probe"
+        moment_estimate(cfg, workers=2)
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    totals = TRACER.layer_totals(tracer)["probe"]
+    assert totals["fkmc.sim"]["calls"] == 2
+    assert totals["fkmc.sim"]["points"] == n_paths * steps
+    assert totals["hyperbolic.brownian_step"]["calls"] == 2 * steps
+    assert totals["hyperbolic.brownian_step"]["points"] == n_paths * p * steps
+    assert totals["rng.stream_generator"]["calls"] == 3  # one stream per block

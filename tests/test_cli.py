@@ -336,6 +336,15 @@ class TestSlopeCheck:
         assert rep["passed"] is True
         assert rep["ratio_spread"] <= 0.1
 
+    def test_p_axis_names_the_coupling_it_needs(self, tmp_path, capsys):
+        # the default beta = 0.5 is below beta_critical at the grid's smallest order
+        out = tmp_path / "sp"
+        assert run("slope-check", "--out", out, "--axis", "p") == 2
+        err = capsys.readouterr().err
+        assert "raise beta above beta_critical = 5.898 at p = 4" in err
+        assert not out.exists()
+        assert run("slope-check", "--out", out, "--axis", "p", "--set", "noise.beta=5.9") != 2
+
 
 class TestIntermittency:
     def test_series(self, tmp_path):

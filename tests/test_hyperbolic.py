@@ -406,6 +406,49 @@ class TestCoordinateLoops:
         assert np.array_equal(got, _step_sum(X, xi, K))
 
 
+class TestCoordinateMajor:
+    """walk_block keeps its positions coordinate-major (X.T C-contiguous);
+    the step and the pair distances give the bits they give on C order."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=far_points, dt=st.floats(1e-4, 0.5))
+    def test_brownian_step_layouts_agree(self, case, dt):
+        n, K, log_scale, seed = case
+        rows = BLOCK_SIZE + 5  # two blocks, two streams
+        pts = random_points(n, K, 2 * rows, np.random.default_rng(seed), scale=10.0**log_scale)
+        X_c = pts.reshape(rows, 2, n + 1)
+        X_f = X_c.copy(order="F")
+        before = X_f.copy(order="F")
+
+        def streams():
+            return [stream_generator(seed, 0), stream_generator(seed, 1)]
+
+        got_f = brownian_step(X_f, streams(), dt, K)
+        got_c = brownian_step(X_c, streams(), dt, K)
+        assert np.array_equal(got_f, got_c)
+        assert got_f.T.flags.c_contiguous and got_c.flags.c_contiguous
+        # a new array: the positions handed in are left as they were
+        assert np.array_equal(X_f, before) and np.array_equal(X_c, before)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=far_points, p=st.integers(2, 6))
+    def test_pair_distances_on_coordinate_major(self, case, p):
+        n, K, log_scale, seed = case
+        pts = random_points(n, K, 50 * p, np.random.default_rng(seed), scale=10.0**log_scale)
+        X = pts.reshape(50, p, n + 1).copy(order="F")
+        I, J = np.array(fkmc._pair_list(p)).T
+        got = fkmc._pair_distances(X, I, J, K)
+        want = np.stack([distance_coords(X[:, i], X[:, k], K) for i, k in zip(I, J)], axis=1)
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous  # each pair's column is contiguous
+
+    def test_walk_block_state_is_coordinate_major(self):
+        o = ModelPoint.basepoint(3, 1.0)
+        sizes, cp_steps, _ = time_grid([0.02], 0.01)
+        for _, X, _ in walk_block(o.coords, (BLOCK_SIZE + 5, 3), 17, 0, sizes, cp_steps, 1.0):
+            assert X.shape == (BLOCK_SIZE + 5, 3, 4) and X.T.flags.c_contiguous
+
+
 class TestHeatKernel:
     def test_exact_center_value(self):
         # P_t(0) = (4 pi t)^(-3/2) e^(-t) at K = 1
