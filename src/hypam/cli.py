@@ -533,21 +533,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="experiments for the multiplicative-noise heat equation on hyperbolic space",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # the options every subcommand shares, declared once; the append action
+    # copies the --set default before adding to it, so the one list is never
+    # mutated across parses
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON configuration file")
+    common.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one dotted config key (repeatable)",
+    )
+    common.add_argument("--out", help="output directory (default hypam-<subcommand>)")
+    common.add_argument("--workers", type=int, help="worker count (overrides mc.workers)")
+    common.add_argument("--seed", type=int, help="master seed (overrides mc.seed)")
+    common.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="table format")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one dotted config key (repeatable)",
-        )
-        sp.add_argument("--out", help="output directory (default hypam-<subcommand>)")
-        sp.add_argument("--workers", type=int, help="worker count (overrides mc.workers)")
-        sp.add_argument("--seed", type=int, help="master seed (overrides mc.seed)")
-        sp.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="table format")
+        sp = sub.add_parser(name, help=help_text, parents=[common])
         if name == "slope-check":
             sp.add_argument("--axis", choices=("beta", "p"), default="beta")
         if name == "intermittency":

@@ -183,15 +183,23 @@ def f_profile(i: Regime, rho, cfg: BoundConfig):
     return short_time_term(i, rho, cfg) + tail_term(rho, cfg.spec.K)
 
 
+_LADDER = np.ldexp(1.0, np.arange(200))  # 1, 2, 4, ..., 2^199: the bracket's rungs
+
+
 def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     """Moment growth rate: the unique rho with F_i(rho) = 1/(C_chaos beta^2),
     or 0 when no crossing exists (small beta, and beta = 0, whose level is +inf).
 
-    F_i is continuous and strictly decreasing with limit 0, so the root is
-    bracketed by doubling and pinned by bisection to relative tolerance.
+    F_i is continuous and strictly decreasing with limit 0, so the root lies
+    between the first power of two where F_i drops below the level and the
+    power before it (0 if that first one is 1), read off one F_i call on the
+    whole ladder 1, 2, ..., 2^199.  Bisection then pins it to relative tolerance,
+    two halvings per F_i call: the midpoint and both quarter points are
+    evaluated together, and the second halving takes whichever quarter point
+    is the new midpoint, so the bits are those of plain bisection.
     Accepts a scalar or an array of beta (a scalar gives a float): every
-    target doubles and bisects in the same F_i calls, and leaves them once
-    its own bracket has closed."""
+    target bisects in the same F_i calls, and leaves them once its own
+    bracket has closed."""
     b = np.asarray(beta, dtype=float)
     if not np.all(b >= 0.0):
         raise ValueError("beta must be nonnegative")
@@ -201,25 +209,32 @@ def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     f0 = f_profile(i, 0.0, cfg)
     crossing = np.flatnonzero(target < f0)
     target = target.ravel()[crossing]
-    lo, hi = np.zeros(crossing.size), np.ones(crossing.size)
+    below = f_profile(i, _LADDER, cfg) < target[:, None]
+    if not below[:, -1].all():
+        coupling = b.ravel()[crossing][~below[:, -1]].min()
+        raise RuntimeError(f"growth rate above {_LADDER[-1]:.1e} at beta = {coupling:.3g}")
+    rung = below.argmax(axis=1)  # the first rung below each target
+    hi = _LADDER[rung]
+    lo = np.where(rung > 0, 0.5 * hi, 0.0)
     todo = np.arange(crossing.size)  # targets still in the loop
     for _ in range(200):
-        if todo.size == 0:
-            break
-        todo = todo[~(f_profile(i, hi[todo], cfg) < target[todo])]
-        lo[todo] = hi[todo]
-        hi[todo] *= 2.0
-    if todo.size:
-        raise RuntimeError("failed to bracket the growth rate")
-    todo = np.arange(crossing.size)
-    for _ in range(400):
         todo = todo[~(hi[todo] - lo[todo] <= tol * hi[todo])]
         if todo.size == 0:
             break
-        mid = 0.5 * (lo[todo] + hi[todo])
-        above = f_profile(i, mid, cfg) > target[todo]
-        lo[todo[above]] = mid[above]
-        hi[todo[~above]] = mid[~above]
+        l, h, t = lo[todo], hi[todo], target[todo]
+        mid = 0.5 * (l + h)
+        f_mid, f_low, f_high = np.split(
+            f_profile(i, np.concatenate((mid, 0.5 * (l + mid), 0.5 * (mid + h))), cfg), 3
+        )
+        above = f_mid > t
+        l, h = np.where(above, mid, l), np.where(above, h, mid)
+        # the second halving, on the brackets the first one left open: its
+        # midpoint is the quarter point on the side the first one kept
+        still_open = ~(h - l <= tol * h)
+        mid = 0.5 * (l + h)
+        above = np.where(above, f_high, f_low) > t
+        l, h = np.where(still_open & above, mid, l), np.where(still_open & ~above, mid, h)
+        lo[todo], hi[todo] = l, h
     out = np.zeros(b.shape)
     out.flat[crossing] = 0.5 * (lo + hi)
     return _float_or_array(out)

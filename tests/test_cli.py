@@ -5,11 +5,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hypam import NoiseSpec, chaos_k1_estimate, fkmc
-from hypam.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from hypam.cli import _COMMANDS, DEFAULT_CONFIG, ConfigError, build_parser, load_config, main
 from hypam.specialfn import QuadratureError
 
 
@@ -458,3 +459,47 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f.read_text() == "keep"
+
+
+class TestParser:
+    # `hypam --help` and every `hypam <subcommand> --help` at 80 columns, as
+    # printed when each subcommand declared the shared options itself
+    HELP = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
+
+    @pytest.mark.parametrize("argv", list(HELP))
+    def test_help_text(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(argv.split())
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == self.HELP[argv]
+
+    def test_every_subcommand_has_a_help_text(self):
+        assert set(self.HELP) == {"--help"} | {f"{name} --help" for name in _COMMANDS}
+
+    def test_set_lists_do_not_leak_between_calls(self, tmp_path):
+        # the shared --set default is one list object, which append copies
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("bounds", "--out", a, "--set", "noise.beta=2", "--set", "moment.r=2") == 0
+        assert run("bounds", "--out", b, "--set", "moment.p=3") == 0
+        assert run("bounds", "--out", tmp_path / "c") == 0
+        first, second, third = (read_manifest(d)["config"] for d in (a, b, tmp_path / "c"))
+        assert (first["noise"]["beta"], first["moment"]) == (2, {"p": 2, "r": 2})
+        assert (second["noise"]["beta"], second["moment"]) == (0.5, {"p": 3, "r": "inf"})
+        assert third == DEFAULT_CONFIG
+        parser = build_parser()
+        assert parser.parse_args(["bounds", "--set", "x=1"]).set == ["x=1"]
+        assert parser.parse_args(["bounds"]).set == []
+
+
+class TestBracketFailure:
+    @pytest.mark.parametrize("subcommand, beta", [("bounds", "0.607"), ("phase-diagram", "0.632")])
+    def test_names_the_coupling(self, tmp_path, capsys, subcommand, beta):
+        # alpha = 0.26 is valid in n = 3 (threshold 1/4), but theta passes the
+        # bracket's top rung 2^199 from beta = 0.607 on; phase-diagram's first
+        # such coupling is sqrt(p-1) beta = sqrt(4) * 0.316
+        out = tmp_path / "o"
+        assert run(subcommand, "--out", out, "--set", "noise.alpha=0.26") == 3
+        err = capsys.readouterr().err
+        assert err == f"error: growth rate above 8.0e+59 at beta = {beta}\n"
+        assert not out.exists()

@@ -19,6 +19,7 @@ from hypam import (
     theta_slope_report,
     upper_exponent,
 )
+from hypam import renewal
 from hypam.renewal import short_time_term, tail_term
 
 EULER_GAMMA = 0.5772156649015329
@@ -378,3 +379,29 @@ class TestArrayTheta:
             for cfg, _ in PROFILE_CASES:
                 theta(np.array([0.0, 1e-170, 0.5, 1e3]), cfg)
                 f_profile(cfg.regime, np.array([0.0, 1e-300, 1e6]), cfg)
+
+
+class TestThetaCalls:
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    def test_profile_calls_per_theta(self, monkeypatch, alpha):
+        # the phase-diagram grid: theta at sqrt(p-1) beta over 7 orders and
+        # 13 couplings, in one call; one ladder call brackets every target,
+        # then each profile call takes two halvings
+        calls = []
+
+        def counted(i, rho, cfg):
+            calls.append(rho)
+            return f_profile(i, rho, cfg)
+
+        monkeypatch.setattr(renewal, "f_profile", counted)
+        betas, ps = np.meshgrid(np.geomspace(0.1, 100.0, 13), np.arange(2, 9), indexing="ij")
+        theta(np.sqrt(ps - 1.0) * betas, cfg_for(alpha))
+        assert len(calls) <= 24
+
+    def test_bracket_failure_names_the_coupling(self):
+        # alpha = 0.26 sits just above the n = 3 threshold 1/4: theta passes
+        # the ladder's top rung 2^199 from beta = 0.607 on
+        cfg = cfg_for(0.26)
+        assert 0.0 < theta(0.5, cfg) < 2.0**199
+        with pytest.raises(RuntimeError, match=r"^growth rate above 8\.0e\+59 at beta = 0\.607$"):
+            theta(np.array([0.5, 2.0, 0.607, 0.9]), cfg)
