@@ -54,7 +54,7 @@ from .kernels import (
     NoiseSpec,
 )
 from .ledger import ConstantLedger
-from .renewal import BoundConfig, f_profile, theta, upper_exponent
+from .renewal import BoundConfig, _exponent_from_theta, f_profile, theta, upper_exponent
 from .rng import stream_generator
 from .specialfn import QuadratureSpec, gamma_lower, gamma_upper, integrate
 
@@ -319,9 +319,12 @@ def cmd_bounds(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[st
     p = int(config["moment"]["p"])
     i = cfg.regime
     betas = np.array(sorted(set(np.geomspace(0.05, 20.0, 25)) | {spec.beta}))
-    ths = theta(betas, cfg).tolist()
-    ues = upper_exponent(p, betas, cfg).tolist()
-    rows = [[b, p, r, th, ue, int(i)] for b, th, ue in zip(betas.tolist(), ths, ues)]
+    # one theta call: the couplings, then the ones upper_exponent feeds it
+    ths, th_p = np.split(theta(np.concatenate((betas, np.sqrt(p - 1.0) * betas)), cfg), 2)
+    ues = _exponent_from_theta(p, th_p, cfg)
+    rows = [
+        [b, p, r, th, ue, int(i)] for b, th, ue in zip(betas.tolist(), ths.tolist(), ues.tolist())
+    ]
     header = ["beta", "p", "r", "theta", "upper_exponent", "regime"]
     files = [_table("bounds", header, rows, args.format)]
     rho_grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))

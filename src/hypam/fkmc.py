@@ -554,7 +554,8 @@ def q_sup(
 
     p and beta broadcast against each other and one call covers all the
     pairs: the scan is one (pairs, n_grid) array on one radius table, and
-    each zoom level one array over the pairs whose bracket is still open.
+    each zoom level evaluates Gbar and the eigenvalue bound once per distinct
+    bracket among the pairs still open, then Q per pair from those rows.
     Scalars give float fields, arrays fields of the broadcast shape."""
     p, beta = np.broadcast_arrays(_moment_orders(p), np.asarray(beta, dtype=float))
     shape, p, beta = p.shape, p.ravel(), beta.ravel()
@@ -572,16 +573,20 @@ def q_sup(
     a, b = lo.copy(), hi.copy()
     act = np.flatnonzero(b - a > _ZOOM_TOL)  # pairs whose bracket is still open
     while act.size:
-        y = np.linspace(a[act], b[act], _ZOOM_POINTS, axis=1)
-        q, lam = _q_parts(p[act], spec, ledger, np.exp(y))
+        # each distinct bracket (a, b), as one complex key, gets one row of radii
+        ab = np.stack((a[act], b[act]), axis=1).view(np.complex128).ravel()
+        brackets, row = np.unique(ab, return_inverse=True)
+        y = np.linspace(brackets.real, brackets.imag, _ZOOM_POINTS, axis=1)
+        gbar, lam = _q_parts(2, spec, ledger, np.exp(y))
+        q = (p[act, None] - 1) * gbar[row]
         q *= bb[act, None]
-        q -= lam
+        q -= lam[row]
         k = np.argmax(q, axis=1)
         qk = q[np.arange(k.size), k]
         better = qk > value[act]
-        y_best[act[better]] = y[better, k[better]]
+        y_best[act[better]] = y[row[better], k[better]]
         value[act[better]] = qk[better]
-        h = y[:, 1] - y[:, 0]
+        h = (y[:, 1] - y[:, 0])[row]
         a[act] = np.maximum(lo[act], y_best[act] - h)
         b[act] = np.minimum(hi[act], y_best[act] + h)
         act = act[b[act] - a[act] > _ZOOM_TOL]

@@ -183,20 +183,25 @@ def f_profile(i: Regime, rho, cfg: BoundConfig):
     return short_time_term(i, rho, cfg) + tail_term(rho, cfg.spec.K)
 
 
-_LADDER = np.ldexp(1.0, np.arange(200))  # 1, 2, 4, ..., 2^199: the bracket's rungs
+_LADDER = np.ldexp(1.0, np.arange(-1022, 200))  # 2^-1022, ..., 2^199: the bracket's rungs
+_ONE = 1022  # the index of the rung 1
 
 
 def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     """Moment growth rate: the unique rho with F_i(rho) = 1/(C_chaos beta^2),
     or 0 when no crossing exists (small beta, and beta = 0, whose level is +inf).
 
-    F_i is continuous and strictly decreasing with limit 0, so the root lies
-    between the first power of two where F_i drops below the level and the
-    power before it (0 if that first one is 1), read off one F_i call on the
-    whole ladder 1, 2, ..., 2^199.  Bisection then pins it to relative tolerance,
+    F_i is continuous and strictly decreasing with limit 0, so the root is
+    bracketed by consecutive powers of two, read off one F_i call on rho = 0
+    and the two-sided ladder 2^-1022, ..., 2^199.  A root above 1 lies between
+    the first rung where F_i drops below the level and the rung before it; a
+    root below 1 between the first rung, going down from 1/2, where F_i is
+    above the level and twice that rung, which is where bisection from [0, 1]
+    would have halved down to.  Bisection then pins it to relative tolerance,
     two halvings per F_i call: the midpoint and both quarter points are
     evaluated together, and the second halving takes whichever quarter point
-    is the new midpoint, so the bits are those of plain bisection.
+    is the new midpoint, so the bits are those of plain bisection.  A root
+    outside the ladder raises RuntimeError.
     Accepts a scalar or an array of beta (a scalar gives a float): every
     target bisects in the same F_i calls, and leaves them once its own
     bracket has closed."""
@@ -206,16 +211,24 @@ def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     i = cfg.regime
     with np.errstate(divide="ignore", over="ignore"):
         target = 1.0 / (cfg.C_chaos * b * b)
-    f0 = f_profile(i, 0.0, cfg)
-    crossing = np.flatnonzero(target < f0)
-    target = target.ravel()[crossing]
-    below = f_profile(i, _LADDER, cfg) < target[:, None]
+        f = f_profile(i, np.concatenate(([0.0], _LADDER)), cfg)
+    crossing = np.flatnonzero(target < f[0])
+    target, coupling = target.ravel()[crossing], b.ravel()[crossing]
+    below = f[1 + _ONE :] < target[:, None]  # the rungs 1, 2, ..., 2^199
     if not below[:, -1].all():
-        coupling = b.ravel()[crossing][~below[:, -1]].min()
-        raise RuntimeError(f"growth rate above {_LADDER[-1]:.1e} at beta = {coupling:.3g}")
-    rung = below.argmax(axis=1)  # the first rung below each target
-    hi = _LADDER[rung]
-    lo = np.where(rung > 0, 0.5 * hi, 0.0)
+        raise RuntimeError(
+            f"growth rate above {_LADDER[-1]:.1e} at beta = {coupling[~below[:, -1]].min():.3g}"
+        )
+    rung = below.argmax(axis=1)  # the first rung at or above 1 below each target
+    hi = _LADDER[_ONE + rung]
+    lo = 0.5 * hi
+    small = np.flatnonzero(rung == 0)  # roots below 1
+    above = f[_ONE:0:-1] > target[small, None]  # the rungs 1/2, 1/4, ..., 2^-1022
+    if not above.any(axis=1).all():
+        low = coupling[small][~above.any(axis=1)].max()
+        raise RuntimeError(f"growth rate below {_LADDER[0]:.1e} at beta = {low:.3g}")
+    lo[small] = _LADDER[_ONE - 1 - above.argmax(axis=1)]
+    hi[small] = 2.0 * lo[small]
     todo = np.arange(crossing.size)  # targets still in the loop
     for _ in range(200):
         todo = todo[~(hi[todo] - lo[todo] <= tol * hi[todo])]
@@ -288,8 +301,12 @@ def upper_exponent(p, beta, cfg: BoundConfig):
     p and beta broadcast against each other, and one theta call covers them
     all; scalars give a float."""
     p = _moment_orders(p)
-    th = theta(np.sqrt(p - 1.0) * beta, cfg)
-    return _float_or_array(0.5 * p * (th - 2.0 * cfg.b))
+    return _float_or_array(_exponent_from_theta(p, theta(np.sqrt(p - 1.0) * beta, cfg), cfg))
+
+
+def _exponent_from_theta(p, th, cfg: BoundConfig):
+    """The upper exponent (p/2) (th - 2b) from th = theta(sqrt(p-1) beta)."""
+    return 0.5 * p * (th - 2.0 * cfg.b)
 
 
 def semigroup_decay_bound(

@@ -2,8 +2,9 @@
 
 The expected values are float.hex strings and sha256 digests computed before
 the growth-rate bracket became one ladder call and the bisection went to two
-halvings per profile call; both were rewritten to give the same bits, and this
-test catches any later silent drift in them.  The bits also depend on numpy's
+halvings per profile call, and the lower-bound digests before the radius zoom
+evaluated each distinct bracket once; all were rewritten to give the same
+bits, and this test catches any later silent drift in them.  The bits also depend on numpy's
 and scipy's elementary and special functions (log, exp, erfcx, the incomplete
 gamma): they were taken with numpy 2.4 and scipy 1.17 on x86-64."""
 
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from hypam import NoiseSpec
+from hypam import NoiseSpec, lower_lyapunov, q_sup
 from hypam.cli import main
 from hypam.renewal import BoundConfig, theta, upper_exponent
 
@@ -147,3 +148,33 @@ def test_output_digests(tmp_path, subcommand, n, alpha):
     assert main(argv) == 0
     name = "bounds.csv" if subcommand == "bounds" else "phase.csv"
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == DIGESTS[subcommand, n, alpha]
+
+
+# sha256 of the space-joined float.hex strings of lower_lyapunov and of
+# q_sup(...).r_star over the phase-diagram grid (beta-major, 13 couplings x
+# p = 2..8), at the (n, alpha) of the benchmark's bound scans with K = 1
+PHASE_BETAS, PHASE_PS = np.meshgrid(np.geomspace(0.1, 100.0, 13), np.arange(2, 9), indexing="ij")
+LOWER = {
+    (3, 0.6): ("7e4dc2a06d5e758b34e75aa4a4c9dc00a29f5ea5134fcc1364376535c009ad3f", "fd6d1bfdb83a9fb84b06cb291951a4be48806c34a93fc3dfccba6dd4b93c5497"),
+    (3, 0.75): ("6a78dd0c71eaa5ee5bed669ba7401e0ea1a173babc18d7fdd4f4092938bb11c4", "695615ecad2a282d9cf4b377eee96e6ba753b4eed1e862a08e7dff0f65c3fc5a"),
+    (3, 1.0): ("c67ffccb7bfd4e663ce7028940b88e9c1c2ed6e4504a67ab431c4d91b9f49747", "e59b5001d1c1dcd4f87e3b19e6f06b84c8cd557a2241680bf556f5665b928d0e"),
+    (3, 1.5): ("7b60e71fbee7faa64e94f802428cf068b57e79c45a75ba1d0fbbc467a7c6f6de", "4400522997e21b88c876e22faa0855312679aa54372170cc9c2fc59ba361176e"),
+    (4, 0.8): ("fd1427f605c9bdc38475c09d16ac01f0800cf527f22e1db146097a9e3d26cade", "904720b0e7ba6c6db8a6cbbdb5395e8e162048e37e24e982ea2bc7035562ebbc"),
+    (4, 1.0): ("3360a5d7daa2af247515517c36f86a1483d0a35e252645ca686246e382a661d3", "638c02942639a214c443294e862b082e120823ed4eacd1132ef8fc056633851d"),
+    (4, 1.5): ("5d3476ad71db8d3789f00b93db60738e8416e1ef9a3181301e983847cde1512b", "5b6fa71bf336013a49d496ce4ae41c721ef13fd56be1b7931de1fabe13de2f96"),
+    (5, 1.0): ("2546ad99340f08446c32ebfd31e93ea84ea42f5919a8fb9fe13c43ca48b468f3", "f6f38ebf6b81b7729342bfbf51dc0efa715d451c32fa6769ee8b93be2426f4e5"),
+    (5, 1.25): ("e9c2b56e94f5e09fbf1932ae8cc66cda747daedc42a4eddd81b4f55fbf96ac6c", "17e328f5f298a1d92cac2fbda144fcdbeddc29330113d103fcb594f633137ec7"),
+    (5, 2.0): ("aef1f781e84d123f0583bc5c49e4c06c1eb12ecaaf72f42f5ef2b0ee3d0ed225", "4dd959f05d05cbff4a0c7f2ab365c34c659d1e36ed968bf8c3bbd055738f855d"),
+}
+
+
+def digest(values):
+    return hashlib.sha256(" ".join(hexes(values)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, alpha", list(LOWER))
+def test_lower_bound_bits(n, alpha):
+    spec = NoiseSpec(alpha=alpha, beta=1.0, n=n, K=1.0)
+    lower = lower_lyapunov(PHASE_PS, PHASE_BETAS, spec)
+    r_star = q_sup(PHASE_PS, PHASE_BETAS, spec).r_star
+    assert (digest(lower), digest(r_star)) == LOWER[n, alpha]

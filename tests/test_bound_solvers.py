@@ -183,19 +183,25 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def zoom_levels(monkeypatch, p, beta, spec):
-    """How many zoom levels a scalar q_sup call runs: its Q evaluations after the scan."""
-    calls = []
+def zoom_rows(monkeypatch, p, beta, spec):
+    """The radii a scalar q_sup call evaluates Q on at each zoom level, one
+    row of bytes per level: its Q evaluations after the scan."""
+    rows = []
     original = fkmc._q_parts
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def recorded(p, spec, ledger, r):
+        rows.append(np.asarray(r).tobytes())
+        return original(p, spec, ledger, r)
 
-    monkeypatch.setattr(fkmc, "_q_parts", counted)
+    monkeypatch.setattr(fkmc, "_q_parts", recorded)
     q_sup(p, beta, spec)
     monkeypatch.setattr(fkmc, "_q_parts", original)
-    return len(calls) - 1
+    return rows[1:]
+
+
+def zoom_levels(monkeypatch, p, beta, spec):
+    """How many zoom levels a scalar q_sup call runs."""
+    return len(zoom_rows(monkeypatch, p, beta, spec))
 
 
 # the phase-diagram grid, beta-major
@@ -226,25 +232,29 @@ class TestArraySolvers:
         assert len(levels) > 1
 
     def test_closed_pairs_leave_the_zoom(self, monkeypatch):
-        # each zoom level of a grid call evaluates exactly the pairs whose
-        # scalar call runs that level, so a closed bracket stops moving
-        levels = [
-            zoom_levels(monkeypatch, int(p), float(b), SPEC)
+        # each zoom level of a grid call evaluates exactly the distinct radius
+        # rows of the pairs whose scalar call runs that level, each row once:
+        # a closed bracket stops moving, and pairs sharing a bracket share it
+        scalar = [
+            zoom_rows(monkeypatch, int(p), float(b), SPEC)
             for p, b in zip(GRID_PS.ravel(), GRID_BETAS.ravel())
         ]
-        shapes = []
+        grid = []
         original = fkmc._q_parts
 
         def recorded(p, spec, ledger, r):
-            shapes.append(np.shape(r))
+            grid.append(np.asarray(r))
             return original(p, spec, ledger, r)
 
         monkeypatch.setattr(fkmc, "_q_parts", recorded)
         q_sup(GRID_PS, GRID_BETAS, SPEC)
-        assert shapes[0] == (600,)
-        assert [rows for rows, _ in shapes[1:]] == [
-            sum(n > k for n in levels) for k in range(max(levels))
-        ]
+        assert grid[0].shape == (600,)
+        levels = max(map(len, scalar))
+        assert len(grid) == 1 + levels
+        for k, r in enumerate(grid[1:]):
+            expected = {rows[k] for rows in scalar if len(rows) > k}
+            assert r.shape == (len(expected), fkmc._ZOOM_POINTS)
+            assert {row.tobytes() for row in r} == expected
 
     def test_upper_end_pair_in_a_grid(self):
         ps, betas = np.array([2, 2, 4, 2]), np.array([0.1, 15.0, 40.0, 0.1])

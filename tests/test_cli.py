@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hypam import NoiseSpec, chaos_k1_estimate, fkmc
+import hypam.cli
+import hypam.renewal
+from hypam import BoundConfig, NoiseSpec, chaos_k1_estimate, f_profile, fkmc, theta
 from hypam.cli import _COMMANDS, DEFAULT_CONFIG, ConfigError, build_parser, load_config, main
 from hypam.specialfn import QuadratureError
 
@@ -317,6 +319,33 @@ class TestBounds:
         assert len(rows) == 1
         assert float(rows[0]["theta"]) == 0.0
         assert float(rows[0]["upper_exponent"]) == -3.0  # b = (n-1)^2 K / (2 max(2, r)) = 1
+
+    def test_tiny_coupling_row(self, tmp_path):
+        # LOG regime at beta = 1e-100: theta = 2.0e-195 inverts F_2 at 1/beta^2
+        out = tmp_path / "tiny"
+        argv = ("--set", "noise.alpha=0.75", "--set", "noise.beta=1e-100")
+        assert run("bounds", "--out", out, *argv) == 0
+        with open(out / "bounds.csv", newline="") as f:
+            rows = [r for r in csv.DictReader(f) if float(r["beta"]) == 1e-100]
+        assert len(rows) == 1
+        th = float(rows[0]["theta"])
+        assert th == pytest.approx(2.0047e-195, rel=1e-4)
+        cfg = BoundConfig(NoiseSpec(alpha=0.75, beta=1e-100, n=3, K=1.0))
+        assert abs(f_profile(cfg.regime, th, cfg) * 1e-200 - 1.0) <= 1e-8
+
+    def test_one_theta_call(self, tmp_path, monkeypatch):
+        # the theta column and the upper exponent's theta(sqrt(p-1) beta)
+        # come from one call, counted wherever it is looked up
+        calls = []
+
+        def counted(beta, cfg):
+            calls.append(beta)
+            return theta(beta, cfg)
+
+        monkeypatch.setattr(hypam.cli, "theta", counted)
+        monkeypatch.setattr(hypam.renewal, "theta", counted)
+        assert run("bounds", "--out", tmp_path / "b", "--set", "moment.p=3") == 0
+        assert len(calls) == 1
 
 
 class TestSlopeCheck:

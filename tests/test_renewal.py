@@ -405,3 +405,45 @@ class TestThetaCalls:
         assert 0.0 < theta(0.5, cfg) < 2.0**199
         with pytest.raises(RuntimeError, match=r"^growth rate above 8\.0e\+59 at beta = 0\.607$"):
             theta(np.array([0.5, 2.0, 0.607, 0.9]), cfg)
+
+
+class TestLadderBracket:
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    def test_every_target_takes_the_same_rounds(self, monkeypatch, alpha):
+        # the phase-diagram grid: rho = 0 and the two-sided ladder in one
+        # profile call bracket every target between adjacent powers of two,
+        # so each then needs the same 14 rounds of two halvings
+        calls = []
+
+        def counted(i, rho, cfg):
+            calls.append(rho)
+            return f_profile(i, rho, cfg)
+
+        monkeypatch.setattr(renewal, "f_profile", counted)
+        betas, ps = np.meshgrid(np.geomspace(0.1, 100.0, 13), np.arange(2, 9), indexing="ij")
+        theta(np.sqrt(ps - 1.0) * betas, cfg_for(alpha))
+        assert len(calls) == 15
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("beta", [1e-20, 1e-60, 1e-100, 1e-150])
+    def test_tiny_roots_converge(self, n, beta):
+        # in the LOG regime the root falls like beta^2 / ln^2(beta); roots far
+        # below 1 start from their own rung and converge like any other
+        cfg = cfg_for(n / 4.0, n=n)
+        th = theta(beta, cfg)
+        assert 0.0 < th < 1e-30
+        assert abs(f_profile(cfg.regime, th, cfg) * cfg.C_chaos * beta * beta - 1.0) <= 1e-8
+
+    def test_bottom_rung_failure_names_the_coupling(self, monkeypatch):
+        # a profile with F(0) = 1 that falls to 1/2 at rho = 2^-1050, below the
+        # ladder's bottom rung 2^-1022; its root at level 1/(1 + 2^50) is 2^-1000
+        # and the failure names the largest coupling whose root is below it
+        def steep(i, rho, cfg):
+            return 1.0 / (1.0 + np.asarray(rho) * 2.0**1000 * 2.0**50)
+
+        monkeypatch.setattr(renewal, "f_profile", steep)
+        cfg = cfg_for(1.0)
+        assert theta(math.sqrt(1.0 + 2.0**50), cfg) == pytest.approx(2.0**-1000, rel=1e-8)
+        # the roots at beta = 1.2 and 100 lie below 2^-1022, the one at 1e9 above
+        with pytest.raises(RuntimeError, match=r"^growth rate below 2\.2e-308 at beta = 100$"):
+            theta(np.array([0.5, 1.2, 100.0, 1e9]), cfg)
