@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -76,7 +78,7 @@ _INT_KEYS = (("model", "n"), ("moment", "p"), ("mc", "n_paths"), ("mc", "seed"),
 
 
 class ConfigError(ValueError):
-    """Configuration file or override rejected; message carries diagnostics."""
+    """Configuration file, override or command line rejected; message carries diagnostics."""
 
 
 def _parse_scalar(text: str):
@@ -215,16 +217,43 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_rows(rows) -> str:
+    """The reference CSV writer: each value through ``_fmt``, then ``csv.writer``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _csv_body(rows: list) -> str:
+    """The rows as ``_csv_rows`` writes them, formatted with one ``%`` template:
+    ``%.17g`` for a float column, ``%s`` otherwise, typed by the first row.  A
+    table whose rows do not all have those types, or with a value csv would
+    quote (one holding ``,`` ``"`` ``\\r`` ``\\n``, or a lone empty field), goes
+    through ``_csv_rows``."""
+    kinds = list(map(type, rows[0])) if rows else []
+    ncols = len(kinds)
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(len, rows)) <= {ncols} and list(map(type, flat)) == kinds * len(rows):
+        template = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\r\n"
+        text = template * len(rows) % tuple(flat)
+        # the template's own separators and line ends are all there is
+        plain = (
+            text.count(",") == len(rows) * (ncols - 1)
+            and text.count("\r") == text.count("\n") == len(rows)
+            and '"' not in text
+            and not (ncols == 1 and "\r\n\r\n" in "\r\n" + text)
+        )
+        if plain:
+            return text
+    return _csv_rows(rows)
+
+
 def _table(stem: str, header: list[str], rows: list, fmt: str) -> tuple[str, str]:
     """One tabular output as (file name, text): CSV, or JSON-lines keyed by the header."""
     if fmt == "jsonl":
         lines = [json.dumps(dict(zip(header, row)), sort_keys=True) + "\n" for row in rows]
         return stem + ".jsonl", "".join(lines)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows([_fmt(v) for v in row] for row in rows)
-    return stem + ".csv", buf.getvalue()
+    return stem + ".csv", _csv_rows([header]) + _csv_body(rows)
 
 
 def _json(obj) -> str:
@@ -243,21 +272,22 @@ def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, d
     )
     header = ["d", "value", "mode", "alpha", "n", "K"]
     bracket = mode.bracket.value
-    values = np.exp(g_alpha_log_values(spec, d_grid, mode))
-    rows = [[float(d), float(v), bracket, spec.alpha, n, K] for d, v in zip(d_grid, values)]
+    ds = d_grid.tolist()
+    values = np.exp(g_alpha_log_values(spec, d_grid, mode)).tolist()
+    rows = [[d, v, bracket, spec.alpha, n, K] for d, v in zip(ds, values)]
     files = [_table("g_alpha", header, rows, args.format)]
     # pin the lower-bound constant against the exact kernel on the emitted
     # grid, unless the user supplied one; the manifest ledger records which
     if n == 3 and ledger.entry("gbar_C").provenance == "default":
         calibrate_lower_constant(spec, ledger, d_grid=d_grid)
-    lower_vals = g_alpha_lower(spec, d_grid, ledger)
+    lower_vals = g_alpha_lower(spec, d_grid, ledger).tolist()
     lower = BracketMode.LOWER.value
-    rows = [[float(d), float(v), lower, spec.alpha, n, K] for d, v in zip(d_grid, lower_vals)]
+    rows = [[d, v, lower, spec.alpha, n, K] for d, v in zip(ds, lower_vals)]
     files.append(_table("g_alpha_lower", header, rows, args.format))
     rows = []
     for t in (0.1, 1.0, 5.0):
-        values = np.exp(heat_kernel_log_values(t, d_grid, n, K, mode))
-        rows += [[float(d), t, float(v), bracket, n, K] for d, v in zip(d_grid, values)]
+        values = np.exp(heat_kernel_log_values(t, d_grid, n, K, mode)).tolist()
+        rows += [[d, t, v, bracket, n, K] for d, v in zip(ds, values)]
     files.append(_table("heat_kernel", ["d", "t", "value", "mode", "n", "K"], rows, args.format))
     return 0, dict(files)
 
@@ -530,8 +560,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ``ConfigError``, so ``main``
+    reports them in one line and returns 2 instead of printing the usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypam",
         description="experiments for the multiplicative-noise heat equation on hyperbolic space",
     )
@@ -564,9 +602,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.  A parse only reads
+    the tree, and each parse fills a fresh namespace, so no option carries over
+    from one call to the next; help is formatted at the width of the moment."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         config = load_config(args.config, args.set)
         if args.seed is not None:
             config["mc"]["seed"] = int(args.seed)

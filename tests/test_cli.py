@@ -1,5 +1,6 @@
 """Command-line interface: config handling, outputs, manifests, reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -12,7 +13,15 @@ import pytest
 import hypam.cli
 import hypam.renewal
 from hypam import BoundConfig, NoiseSpec, chaos_k1_estimate, f_profile, fkmc, theta
-from hypam.cli import _COMMANDS, DEFAULT_CONFIG, ConfigError, build_parser, load_config, main
+from hypam.cli import (
+    _COMMANDS,
+    DEFAULT_CONFIG,
+    ConfigError,
+    _shared_parser,
+    build_parser,
+    load_config,
+    main,
+)
 from hypam.specialfn import QuadratureError
 
 
@@ -133,6 +142,29 @@ class TestExitCodes:
         assert run("bounds", "--out", tmp_path) == 3
         err = capsys.readouterr().err
         assert err == "error: quadrature failed on [0, 1]: no convergence\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--bogus"], "unrecognized arguments: --bogus"),
+            (["bounds", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
+            ([], "the following arguments are required: subcommand"),
+            (["nope"], "argument subcommand: invalid choice: 'nope'"),
+            (["slope-check", "--axis", "q"], "argument --axis: invalid choice: 'q'"),
+            (["intermittency", "--q"], "argument --q: expected one argument"),
+        ],
+        ids=["unknown-option", "bad-int", "no-subcommand", "bad-subcommand", "bad-choice", "no-value"],
+    )
+    def test_usage_error_is_one_line_and_returns_2(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where the default hypam-<subcommand> would go
+        out = tmp_path / "o"
+        if argv:
+            argv = [*argv[:1], "--out", str(out), *argv[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_subprocess(self):
         out = subprocess.run(
@@ -519,6 +551,64 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["bounds", "--set", "x=1"]).set == ["x=1"]
         assert parser.parse_args(["bounds"]).set == []
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        inits = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            inits.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser()
+        per_tree = len(inits)
+        assert per_tree > 1  # the top parser, the shared options, one per subcommand
+        inits.clear()
+        _shared_parser.cache_clear()
+        for k in range(3):
+            assert run("bounds", "--out", tmp_path / str(k)) == 0
+        assert len(inits) == per_tree
+
+    def test_options_never_carry_over(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(args, config, ledger):
+            seen.append((vars(args).copy(), config))
+            return 0, {}
+
+        for name in ("slope-check", "intermittency"):
+            monkeypatch.setitem(_COMMANDS, name, (record, _COMMANDS[name][1]))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"noise": {"beta": 3.0}}))
+        full = ["--workers", "3", "--seed", "7", "--format", "jsonl", "--config", cfg, "--set", "model.n=4"]
+        out = tmp_path / "o"
+        for name, key, value, default in (("slope-check", "axis", "p", "beta"), ("intermittency", "q", 3, 2)):
+            seen.clear()
+            assert run(name, "--out", out, *full, f"--{key}", value) == 0
+            assert run(name, "--out", out) == 0
+            (used, used_config), (later, later_config) = seen
+            assert used["workers"] == 3 and used["seed"] == 7 and used["format"] == "jsonl"
+            assert used["config"] == str(cfg) and used["set"] == ["model.n=4"] and used[key] == value
+            assert used_config["mc"]["seed"] == 7 and used_config["noise"]["beta"] == 3.0
+            assert later["workers"] is None and later["seed"] is None and later["config"] is None
+            assert later["format"] == "csv" and later["set"] == [] and later[key] == default
+            assert later_config == DEFAULT_CONFIG
+
+    def test_help_after_a_parse_at_another_width(self, tmp_path, capsys, monkeypatch):
+        # the shared parser is built at 40 columns; help is still formatted at 80
+        _shared_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "40")
+        assert run("bm-sample", "--out", tmp_path / "o", "--set", "mc.n_paths=0") == 2
+        with pytest.raises(SystemExit):
+            main(["bounds", "--help"])
+        assert capsys.readouterr().out != self.HELP["bounds --help"]
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, text in self.HELP.items():
+            with pytest.raises(SystemExit) as stop:
+                main(argv.split())
+            assert stop.value.code == 0
+            assert capsys.readouterr().out == text
 
 
 class TestBracketFailure:
