@@ -18,9 +18,7 @@ from .fkmc import (
     RatioPoint,
     SlopeReport,
     asymptotic_slope_check,
-    ball_survival_probability,
     beta_critical,
-    chaos_k1_estimate,
     dirichlet_eigenvalue_upper,
     intermittency_ratio,
     lower_lyapunov,
@@ -28,7 +26,6 @@ from .fkmc import (
     moment_estimate,
     moment_series,
     p_critical,
-    q_lower,
     q_sup,
 )
 from .hyperbolic import (
@@ -41,12 +38,8 @@ from .hyperbolic import (
     brownian_path,
     brownian_step,
     distance_coords,
-    exp_map,
-    heat_kernel,
-    heat_semigroup_apply,
     minkowski_inner,
     sheet_violation,
-    tangent_at,
 )
 from .rng import (
     stream_generator,
@@ -56,7 +49,6 @@ from .kernels import (
     KernelGrid,
     NoiseSpec,
     calibrate_lower_constant,
-    covariance_form,
     dalang_check,
     g_alpha,
     g_alpha_log_values,
@@ -68,17 +60,13 @@ from .renewal import (
     BoundConfig,
     Regime,
     f_profile,
-    psi_upper,
     regime_of,
-    semigroup_decay_bound,
     theta,
-    theta_slope_report,
     upper_exponent,
 )
 from .specialfn import (
     QuadratureError,
     QuadratureSpec,
-    dm_h,
     dm_h_log,
     gamma_lower,
     gamma_upper,
@@ -112,19 +100,14 @@ __all__ = [
     "Regime",
     "SlopeReport",
     "asymptotic_slope_check",
-    "ball_survival_probability",
     "beta_critical",
     "brownian_path",
     "brownian_step",
     "calibrate_lower_constant",
-    "chaos_k1_estimate",
-    "covariance_form",
     "dalang_check",
     "dirichlet_eigenvalue_upper",
     "distance_coords",
-    "dm_h",
     "dm_h_log",
-    "exp_map",
     "f_profile",
     "g_alpha",
     "g_alpha_log_values",
@@ -132,8 +115,6 @@ __all__ = [
     "g_alpha_lower_log",
     "gamma_lower",
     "gamma_upper",
-    "heat_kernel",
-    "heat_semigroup_apply",
     "integrate",
     "intermittency_ratio",
     "log_gamma_upper",
@@ -144,16 +125,11 @@ __all__ = [
     "moment_series",
     "neg_ei",
     "p_critical",
-    "psi_upper",
-    "q_lower",
     "q_sup",
     "regime_of",
-    "semigroup_decay_bound",
     "sheet_violation",
     "stream_generator",
     "stream_seed",
-    "tangent_at",
     "theta",
-    "theta_slope_report",
     "upper_exponent",
 ]

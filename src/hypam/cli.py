@@ -416,9 +416,14 @@ def cmd_slope_check(args, config: dict, ledger: ConstantLedger) -> tuple[int, di
 def cmd_intermittency(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
     cfg = build_fk(config)
+    if args.q >= cfg.p:
+        raise ConfigError(
+            f"intermittency needs moment.p above --q = {args.q}, got moment.p = {cfg.p}; "
+            f"pass --set moment.p={args.q + 1}"
+        )
     workers = int(config["mc"]["workers"])
     t_grid = [cfg.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
-    series = intermittency_ratio(cfg.p, int(args.q), t_grid, cfg, workers=workers, ledger=ledger)
+    series = intermittency_ratio(cfg.p, args.q, t_grid, cfg, workers=workers, ledger=ledger)
     rows = [[pt.t, pt.ratio, pt.stderr, pt.log_ratio, pt.log_stderr] for pt in series]
     header = ["t", "ratio", "stderr", "log_ratio", "log_stderr"]
     return 0, dict([_table("intermittency", header, rows, args.format)])

@@ -39,7 +39,6 @@ from .hyperbolic import (
     ModelPoint,
     RadialProfile,
     distance_coords,
-    radial_walk,
     run_blocks,
     time_grid,
     walk_block,
@@ -56,9 +55,7 @@ __all__ = [
     "moment_estimate",
     "moment_series",
     "moment_and_chaos",
-    "chaos_k1_estimate",
     "intermittency_ratio",
-    "q_lower",
     "QSupResult",
     "q_sup",
     "lower_lyapunov",
@@ -67,7 +64,6 @@ __all__ = [
     "dirichlet_eigenvalue_upper",
     "SlopeReport",
     "asymptotic_slope_check",
-    "ball_survival_probability",
 ]
 
 @dataclass(frozen=True)
@@ -103,8 +99,6 @@ class FkConfig:
             raise ValueError("kernel_mode must be 'exact' or 'lower'")
         if self.kernel_mode == "exact" and self.spec.n != 3:
             raise ValueError("exact kernel mode needs n = 3")
-        if self.u0.kind not in ("constant", "bump"):
-            raise ValueError("initial data must be a constant or bump profile")
         if self.delta_floor is not None and not (self.delta_floor > 0.0):
             raise ValueError("delta_floor must be positive")
 
@@ -332,46 +326,13 @@ def moment_and_chaos(
     """The moment estimate at cfg.t_end and the first-order chaos coefficient,
     both from one path ensemble.
 
-    The moment is that of :func:`moment_estimate`.  The chaos coefficient
-    averages each path tuple's pairs (see :func:`chaos_k1_estimate`); at
-    p = 2 it is, bit for bit, the chaos_k1_estimate of the same spec, t_end,
-    dt, paths, seed, floor and kernel mode, since the initial data do not
-    enter it."""
+    The moment is that of :func:`moment_estimate`.  The chaos coefficient is
+    the first-order coefficient of beta^2 in the second moment minus one,
+    averaged over each path tuple's pairs (see :func:`_chaos_k1`); the
+    initial data do not enter it, and the floor cap at s = 0 makes it a
+    slight underestimate, flagged LOWER."""
     _, lu, sp = _ensemble(cfg, [cfg.t_end], workers, ledger)
     return _moments(cfg, lu, sp)[0], _chaos_k1(sp)
-
-
-def chaos_k1_estimate(
-    spec: NoiseSpec,
-    t: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-    delta_floor: float | None = None,
-    kernel_mode: str = "exact",
-    workers: int = 1,
-    ledger: ConstantLedger | None = None,
-) -> MomentEstimate:
-    """First-order coefficient of beta^2 in the second moment minus one.
-
-    Averages S_t = 2 * integral of the pair kernel along two independent paths
-    (unit initial data), in the plain linear domain; the floor cap at s = 0
-    makes the estimate a slight underestimate, flagged LOWER.  This runs its
-    own p = 2 ensemble; :func:`moment_and_chaos` gives the same estimate from
-    a moment run's ensemble, averaging over its p(p-1)/2 pairs when p > 2."""
-    cfg = FkConfig(
-        spec=spec,
-        p=2,
-        t_end=t,
-        dt=dt,
-        n_paths=n_paths,
-        seed=seed,
-        u0=RadialProfile.constant(1.0),
-        kernel_mode=kernel_mode,
-        delta_floor=delta_floor,
-    )
-    _, _, sp = _ensemble(cfg, [t], workers, ledger)
-    return _chaos_k1(sp)
 
 
 def _ratio_stats(logw_p: np.ndarray, logw_q: np.ndarray, p: int, q: int):
@@ -412,13 +373,11 @@ def intermittency_ratio(
 
     Both moments come from the same p-path ensemble (the q-moment uses the
     first q paths), so the ratio benefits from common random numbers; the
-    stderr accounts for the induced covariance.  p = q returns exact ones."""
-    if not (isinstance(q, (int, np.integer)) and 2 <= q <= p):
-        raise ValueError("need integer moment orders 2 <= q <= p")
+    stderr accounts for the induced covariance."""
+    if not (isinstance(q, (int, np.integer)) and 2 <= q < p):
+        raise ValueError("need integer moment orders 2 <= q < p")
     if cfg.p != p:
         cfg = replace(cfg, p=int(p))
-    if q == p:
-        return [RatioPoint(t, 1.0, 0.0, 0.0, 0.0) for t in time_grid(t_grid, cfg.dt)[2]]
     ts, lu, sp = _ensemble(cfg, t_grid, workers, ledger)
     sub = [m for m, (i, k) in enumerate(_pair_list(p)) if k < q]
     beta2 = cfg.spec.beta**2
@@ -528,25 +487,6 @@ def dirichlet_eigenvalue_upper(R, n: int, K: float, ledger: ConstantLedger | Non
     c_curv = (n - 1) ** 2 * K / 4.0 + ((n - 2) ** 2 / 4.0 + 0.25) * corr
     out = cn / R**2 + c_curv
     return float(out) if np.ndim(out) == 0 else out
-
-
-def q_lower(
-    r: float,
-    p: int,
-    beta: float,
-    spec: NoiseSpec,
-    ledger: ConstantLedger | None = None,
-) -> float:
-    """Moment lower-bound profile Q(r): pair energy on the ball of radius r
-    minus the Dirichlet eigenvalue bound for that ball."""
-    if not (r > 0.0):
-        raise ValueError("ball radius r must be positive")
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError("moment order p must be an integer >= 2")
-    spec2 = replace(spec, alpha=2.0 * spec.alpha)
-    gbar = g_alpha_lower(spec2, float(r), ledger)
-    lam = dirichlet_eigenvalue_upper(float(r), spec.n, spec.K, ledger)
-    return beta * beta * (p - 1) * gbar - lam
 
 
 @dataclass(frozen=True)
@@ -813,21 +753,3 @@ def asymptotic_slope_check(
         ratio_spread=spread,
         passed=passed,
     )
-
-
-def ball_survival_probability(
-    R: float,
-    n: int,
-    K: float,
-    t_grid,
-    dt: float,
-    n_paths: int,
-    seed: int,
-) -> np.ndarray:
-    """Fraction of Brownian paths that have stayed inside the geodesic ball of
-    radius R about their start through each grid time (exits checked at step
-    resolution, so survival is slightly overestimated for coarse dt)."""
-    if not (R > 0.0):
-        raise ValueError("R must be positive")
-    _, _, d_max = radial_walk(ModelPoint.basepoint(int(n), K), t_grid, dt, int(n_paths), seed, 1)
-    return np.count_nonzero(d_max <= R, axis=1) / int(n_paths)

@@ -20,7 +20,7 @@ Riemannian volume.  In n = 3 it has the closed form
     rho = sqrt(K) d,
 
 and in general dimension it is sandwiched between constant multiples of the
-comparison profile ``K^{n/2} h(K t, sqrt(K) d)`` from :func:`hypam.specialfn.dm_h`.
+comparison profile ``K^{n/2} h(K t, sqrt(K) d)`` from :func:`hypam.specialfn.dm_h_log`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .rng import stream_generator
-from .specialfn import QuadratureSpec, dm_h_log, integrate
+from .specialfn import dm_h_log
 
 __all__ = [
     "BLOCK_SIZE",
@@ -46,21 +46,14 @@ __all__ = [
     "RadialProfile",
     "minkowski_inner",
     "sheet_violation",
-    "distance",
     "distance_coords",
-    "exp_map",
-    "exp_map_coords",
-    "tangent_at",
-    "renormalize_coords",
     "brownian_step",
     "time_grid",
     "run_blocks",
     "walk_block",
     "radial_walk",
     "brownian_path",
-    "heat_kernel",
     "heat_kernel_log_values",
-    "heat_semigroup_apply",
 ]
 
 _NORM_TOL = 1e-9
@@ -171,9 +164,6 @@ class ModelPoint:
         coords[0] = 1.0 / math.sqrt(K)
         return cls(coords, n, K)
 
-    def renormalized(self) -> "ModelPoint":
-        return ModelPoint(renormalize_coords(self.coords, self.K), self.n, self.K)
-
 
 def sheet_violation(X: np.ndarray, K: float) -> np.ndarray:
     """Residual |K<x,x>_L - 1| measured relative to the coordinate scale.
@@ -190,96 +180,10 @@ def sheet_violation(X: np.ndarray, K: float) -> np.ndarray:
     return np.abs(q - 1.0) / scale
 
 
-def _require_same_chart(x: ModelPoint, y: ModelPoint) -> None:
-    if x.n != y.n or x.K != y.K:
-        raise ValueError("points live on different model spaces (n or K mismatch)")
-
-
 def distance_coords(X: np.ndarray, Y: np.ndarray, K: float) -> np.ndarray:
     """Geodesic distance between coordinate arrays; broadcasts over leading axes."""
     arg = np.maximum(K * minkowski_inner(X, Y), 1.0)
     return np.arccosh(arg) / math.sqrt(K)
-
-
-def distance(x: ModelPoint, y: ModelPoint) -> float:
-    _require_same_chart(x, y)
-    return float(distance_coords(x.coords, y.coords, x.K))
-
-
-def renormalize_coords(X: np.ndarray, K: float) -> np.ndarray:
-    """Project coordinates back onto the sheet <x,x>_L = 1/K.
-
-    Resolves the timelike coordinate from the spatial ones.  Unlike dividing
-    by sqrt(K<x,x>_L), this has no cancellation between x_0^2 and |x|^2, so
-    it stays exact arbitrarily far from the base point, where the difference
-    of the two squares carries no significant bits.
-    """
-    X = np.array(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("cannot renormalize: coordinates are not finite")
-    X[..., 0] = np.sqrt(1.0 / K + _dot(X[..., 1:], X[..., 1:]))
-    return X
-
-
-def exp_map_coords(
-    X: np.ndarray, V: np.ndarray, K: float, norm: np.ndarray | None = None
-) -> np.ndarray:
-    """Geodesic exponential; V tangent at X (Minkowski-orthogonal to X).
-
-    norm, when given, is the known Riemannian length of V.  Far from the base
-    point the components of V dwarf its length and the Minkowski square loses
-    all significant bits to cancellation, so callers that know the length
-    (e.g. from an isometrically transported frame vector) must pass it.
-    """
-    X = np.asarray(X, dtype=float)
-    V = np.array(V, dtype=float)  # a copy: the result is built in it
-    if norm is None:
-        q = minkowski_inner(V, V)
-        # tangent vectors are spacelike: the Riemannian length is sqrt(-<v,v>_L)
-        r = np.sqrt(np.maximum(-q, 0.0))
-    else:
-        r = np.asarray(norm, dtype=float)
-    # sinh(a)/a V + cosh(a) X with a = sqrt(K) |V|
-    a = math.sqrt(K) * r
-    fac = np.divide(np.sinh(a), a, out=np.ones_like(a), where=a > 1e-12)
-    V *= fac[..., None]
-    ch = np.cosh(a, out=fac)
-    for i in range(V.shape[-1]):  # one coordinate at a time: no full-size temporary
-        V[..., i] += ch * X[..., i]
-    return V
-
-
-def exp_map(x: ModelPoint, v: np.ndarray) -> ModelPoint:
-    """Exponential map at a model point, with a tangency check on v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.coords.shape:
-        raise ValueError("tangent vector has wrong shape")
-    scale = max(1.0, float(np.linalg.norm(v)) * float(np.linalg.norm(x.coords)))
-    if abs(float(minkowski_inner(x.coords, v))) > 1e-9 * scale:
-        raise ValueError("vector is not tangent at x (<x,v>_L != 0)")
-    out = renormalize_coords(exp_map_coords(x.coords, v, x.K), x.K)
-    return ModelPoint(out, x.n, x.K)
-
-
-def tangent_at(X: np.ndarray, xi: np.ndarray, K: float) -> np.ndarray:
-    """Transport a base-point tangent frame vector xi (n components) to X.
-
-    The transport along the geodesic from the base point preserves the metric,
-    so an isotropic Gaussian xi stays isotropic in the tangent space at X.
-    """
-    X = np.asarray(X, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    Xh = math.sqrt(K) * X  # unit-hyperboloid copy of X, overwritten with V below
-    # <Xh, V>_L with V = (0, xi) reduces to minus the spatial dot product
-    f = np.asarray(_dot(Xh[..., 1:], xi))
-    np.negative(f, out=f)
-    f /= 1.0 + Xh[..., 0]
-    # V = (0, xi) - f (Xh + e_0), computed in place
-    Xh[..., 0] += 1.0
-    Xh *= f[..., None]
-    np.subtract(0.0, Xh[..., 0], out=Xh[..., 0])
-    np.subtract(xi, Xh[..., 1:], out=Xh[..., 1:])
-    return Xh
 
 
 def brownian_step(X: np.ndarray, rng, dt: float, K: float) -> np.ndarray:
@@ -290,11 +194,13 @@ def brownian_step(X: np.ndarray, rng, dt: float, K: float) -> np.ndarray:
     generator k fills the rows of block k (rows k * BLOCK_SIZE onward), the
     last one every row that is left.
 
-    The step is tangent_at, exp_map_coords with the known step length and
-    renormalize_coords, bit for bit, computed over X.T: on coordinate-major
-    memory (X.T C-contiguous, as walk_block keeps it) every pass is
-    contiguous.  The timelike coordinate of the exp map is not formed, since
-    renormalization replaces it."""
+    The step transports an isotropic Gaussian frame vector from the base
+    point to X, follows the geodesic it spans for its known length, and
+    resolves the timelike coordinate from the spatial ones, which keeps the
+    point on the sheet without cancellation however far it is from the base
+    point; _step_sum in tests/test_hyperbolic.py is its np.sum reference, bit
+    for bit.  It is computed over X.T: on coordinate-major memory (X.T
+    C-contiguous, as walk_block keeps it) every pass is contiguous."""
     if X.ndim == 1:  # one point: the one-row array's step
         return brownian_step(X[None], rng, dt, K)[0]
     n = X.shape[-1] - 1
@@ -520,35 +426,26 @@ def heat_kernel_log_values(t: float, d, n: int, K: float, mode: HeatKernelMode):
     return out
 
 
-def heat_kernel(t: float, d: float, n: int, K: float, mode: HeatKernelMode) -> KernelBracket:
-    """Heat kernel (or its two-sided comparison bound) at one (t, d)."""
-    lg = heat_kernel_log_values(t, float(d), n, K, mode)
-    value = math.exp(lg) if lg < 709.0 else math.inf
-    return KernelBracket(value=value, mode=mode.bracket, d=float(d))
-
-
 # ---------------------------------------------------------------------------
-# radial initial data and the semigroup action
+# radial initial data
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial data about the evaluation point: constant, bump, or a table."""
+    """Radial data about the evaluation point: a constant, or a bump of
+    height epsilon on the ball of radius R."""
 
     kind: str
     epsilon: float = 1.0
     R: float | None = None
-    table: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "bump", "table"):
+        if self.kind not in ("constant", "bump"):
             raise ValueError(f"unknown radial profile kind {self.kind!r}")
-        if self.kind in ("constant", "bump") and not self.epsilon > 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("profile level epsilon must be positive")
-        if self.kind in ("bump", "table") and not (self.R is not None and self.R > 0.0):
-            raise ValueError("bump and table profiles need a positive radius R")
-        if self.kind == "table" and self.table is None:
-            raise ValueError("table profile needs a callable")
+        if self.kind == "bump" and not (self.R is not None and self.R > 0.0):
+            raise ValueError("bump profiles need a positive radius R")
 
     @classmethod
     def constant(cls, epsilon: float) -> "RadialProfile":
@@ -558,89 +455,12 @@ class RadialProfile:
     def bump(cls, epsilon: float, R: float) -> "RadialProfile":
         return cls("bump", epsilon=epsilon, R=R)
 
-    @classmethod
-    def from_table(cls, fn: Callable[[np.ndarray], np.ndarray], R: float) -> "RadialProfile":
-        return cls("table", table=fn, R=R)
-
-    @property
-    def compact(self) -> bool:
-        return self.kind in ("bump", "table")
-
     def value(self, r):
         r_arr = np.asarray(r, dtype=float)
         if self.kind == "constant":
             out = np.full_like(r_arr, self.epsilon)
-        elif self.kind == "bump":
-            out = np.where(r_arr <= self.R, self.epsilon, 0.0)
         else:
-            out = np.where(r_arr <= self.R, np.asarray(self.table(r_arr), dtype=float), 0.0)
+            out = np.where(r_arr <= self.R, self.epsilon, 0.0)
         if np.isscalar(r):
             return float(out)
         return out
-
-
-def _area_density(r: np.ndarray, n: int, K: float) -> np.ndarray:
-    """Surface measure of the geodesic sphere of radius r."""
-    sk = math.sqrt(K)
-    # area of the unit Euclidean (n-1)-sphere times (sinh(sk r)/sk)^(n-1)
-    s_unit = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    return s_unit * (np.sinh(sk * r) / sk) ** (n - 1)
-
-
-def heat_semigroup_apply(
-    t: float,
-    u0: RadialProfile,
-    x: ModelPoint,
-    method: str = "quadrature",
-    mode: HeatKernelMode | None = None,
-    n_paths: int = 4096,
-    dt: float | None = None,
-    seed: int = 0,
-):
-    """Apply the heat semigroup to radial data centred at x, evaluated at x.
-
-    The quadrature route uses the exact n = 3 kernel; the Monte Carlo route
-    averages u0 over sampled paths and returns ``(mean, stderr)``.
-    """
-    if not t > 0.0:
-        raise ValueError("heat_semigroup_apply requires t > 0")
-    n, K = x.n, x.K
-    if method == "quadrature":
-        m = mode or HeatKernelMode.exact_n3()
-        if m.kind == "exact_n3" and n != 3:
-            raise ValueError("quadrature route needs the exact kernel, i.e. n = 3")
-
-        sk = math.sqrt(K)
-        log_s_unit = math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0)
-
-        def f(r: float) -> float:
-            val = float(u0.value(r))
-            if val == 0.0 or r == 0.0:
-                return 0.0
-            lg = heat_kernel_log_values(t, r, n, K, m)
-            # log of the sphere area; log(sinh x) = x + log1p(-e^(-2x)) - log 2
-            x = sk * r
-            log_area = log_s_unit + (n - 1) * (
-                x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0) - math.log(sk)
-            )
-            total = lg + log_area
-            if total < -700.0:
-                return 0.0
-            return math.exp(total) * val
-
-        drift = (n - 1) * math.sqrt(K) * t
-        splits = [0.5 * drift, drift, 2.0 * drift + 6.0 * math.sqrt(t)]
-        hi = math.inf
-        if u0.kind in ("bump", "table"):
-            splits.append(u0.R)
-            hi = u0.R
-        q = QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-300)
-        return integrate(f, 0.0, hi, q, split_points=splits)
-    if method in ("mc", "monte-carlo"):
-        h = dt if dt is not None else 0.01 / max(1.0, K)
-        _, d, _ = radial_walk(x, [t], h, n_paths, seed, 1)
-        vals = u0.value(d[0])
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-        return mean, stderr
-    raise ValueError(f"unknown method {method!r}")

@@ -1,4 +1,4 @@
-"""Fractional kernels of the shifted Laplacian and the noise covariance form.
+"""Fractional kernels of the shifted Laplacian: the noise covariance kernel.
 
 The kernel of order ``alpha`` is the Gamma-weighted time integral of the heat
 kernel,
@@ -11,19 +11,19 @@ Laplacian.  It is radial, strictly decreasing, diverges on the diagonal like
 and decays like a Gaussian in the distance at infinity.
 
 The module treats ``spec.alpha`` as the order of the kernel being evaluated.
-The spatial covariance of the driving noise is the kernel of order ``2 alpha``;
-:func:`covariance_form` doubles the order internally for that reason.
+The spatial covariance of the driving noise is the kernel of order ``2 alpha``,
+so its callers pass a spec with the order doubled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, kve
 
-from .hyperbolic import HeatKernelMode, KernelBracket, RadialProfile, _log_sinh
+from .hyperbolic import HeatKernelMode, KernelBracket, _log_sinh
 from .ledger import ConstantLedger
 from .specialfn import QuadratureError, dm_h_log, log_gamma_upper
 
@@ -36,7 +36,6 @@ __all__ = [
     "g_alpha_lower_log",
     "calibrate_lower_constant",
     "KernelGrid",
-    "covariance_form",
 ]
 
 # Log-time trapezoid of the comparison-mode transforms (g_alpha_log_values)
@@ -447,52 +446,3 @@ class KernelGrid:
         if np.isscalar(d) or d_arr.ndim == 0:
             return float(out[0])
         return out.reshape(d_arr.shape, order=order)
-
-
-def covariance_form(
-    f: RadialProfile,
-    g: RadialProfile,
-    spec: NoiseSpec,
-    grid: KernelGrid | None = None,
-) -> float:
-    """Bilinear covariance energy of two compactly supported radial profiles.
-
-    Evaluates the double volume integral of f(x) g(y) against the noise
-    covariance (the kernel of order 2 alpha) in geodesic polar coordinates,
-    with a Gauss-Legendre tensor rule over (r_x, r_y, cos angle).  n = 3 only.
-    """
-    if spec.n != 3:
-        raise ValueError("covariance form is implemented for n = 3")
-    for prof, name in ((f, "f"), (g, "g")):
-        if prof.kind not in ("bump", "table") or prof.R is None:
-            raise ValueError(f"profile {name!r} must have compact support (bump or table)")
-    K = spec.K
-    sk = math.sqrt(K)
-    order2 = replace(spec, alpha=2.0 * spec.alpha)
-    if grid is None:
-        grid = KernelGrid(
-            order2,
-            "exact",
-            delta_floor=1e-4 / sk,
-            d_max=f.R + g.R + 1.0 / sk,
-            n_nodes=400,
-        )
-    x1, w1 = np.polynomial.legendre.leggauss(96)
-    x2, w2 = np.polynomial.legendre.leggauss(96)
-    xc, wc = np.polynomial.legendre.leggauss(64)
-    r1 = 0.5 * f.R * (x1 + 1.0)
-    r2 = 0.5 * g.R * (x2 + 1.0)
-    w1 = 0.5 * f.R * w1
-    w2 = 0.5 * g.R * w2
-    a = sk * r1[:, None, None]
-    b = sk * r2[None, :, None]
-    c = xc[None, None, :]
-    ch = np.cosh(a) * np.cosh(b) - np.sinh(a) * np.sinh(b) * c
-    dvals = np.arccosh(np.maximum(ch, 1.0)) / sk
-    kern = grid(dvals)
-    dens1 = (np.sinh(sk * r1) / sk) ** 2 * f.value(r1) * w1
-    dens2 = (np.sinh(sk * r2) / sk) ** 2 * g.value(r2) * w2
-    inner = np.tensordot(kern, wc, axes=([2], [0]))
-    mid = inner @ dens2
-    total = float(dens1 @ mid)
-    return 8.0 * math.pi**2 * total

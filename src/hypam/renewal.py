@@ -2,8 +2,9 @@
 and the growth-rate inversion.
 
 The chaos expansion of the moment bounds everything through one scalar kernel
-of time, ``psi_upper``, whose Laplace-type transform in the decay rate ``rho``
-is one of three profiles F_1, F_2, F_3 picked by the noise regularity:
+of time: a regime-dependent singularity below t = 1/2K and the algebraic tail
+(1 + K t)^(-3/2) beyond it.  Its Laplace-type transform in the decay rate
+``rho`` is one of three profiles F_1, F_2, F_3 picked by the noise regularity:
 
     i = 1  for (n-2)/4 < alpha < n/4   (integrable power singularity at 0),
     i = 2  for alpha = n/4             (squared-logarithmic singularity),
@@ -31,14 +32,11 @@ __all__ = [
     "Regime",
     "regime_of",
     "BoundConfig",
-    "psi_upper",
     "short_time_term",
     "tail_term",
     "f_profile",
     "theta",
-    "theta_slope_report",
     "upper_exponent",
-    "semigroup_decay_bound",
 ]
 
 class Regime(enum.IntEnum):
@@ -91,31 +89,6 @@ class BoundConfig:
     @property
     def regime(self) -> Regime:
         return regime_of(self.spec.alpha, self.spec.n)
-
-
-def psi_upper(t: float, cfg: BoundConfig) -> float:
-    """Piecewise bound on the moment kernel at time t.
-
-    Short times carry the regime-dependent singularity s(t); long times the
-    algebraic tail (1 + K t)^(-3/2).  Both closed indicators contribute at the
-    crossover t = 1/2K, which only enlarges the bound.
-    """
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
-    a, n, K = cfg.spec.alpha, cfg.spec.n, cfg.spec.K
-    cross = 1.0 / (2.0 * K)
-    total = 0.0
-    if t <= cross:
-        i = cfg.regime
-        if i == Regime.POWER:
-            total += t ** (2.0 * a - n / 2.0)
-        elif i == Regime.LOG:
-            total += math.log(t) ** 2
-        else:
-            total += 1.0
-    if t >= cross:
-        total += (1.0 + K * t) ** -1.5
-    return cfg.C_chaos**2 * total
 
 
 def _rho_values(rho) -> np.ndarray:
@@ -253,39 +226,6 @@ def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     return _float_or_array(out)
 
 
-def theta_slope_report(
-    cfg: BoundConfig,
-    beta_lo: float = 1e2,
-    beta_hi: float = 1e4,
-    n_pts: int = 9,
-) -> dict:
-    """Fit the large-beta power of theta and report it next to the candidate
-    exponents (per beta^2) implied by the tail of F_i.
-
-    For i = 1 two inequivalent candidates circulate (the stated one and the one
-    obtained by inverting the tail directly); both are reported, neither is
-    asserted.  For i = 3 the candidate is 1; for i = 2 the growth carries
-    logarithmic corrections and no clean power is listed.
-    """
-    a, n = cfg.spec.alpha, cfg.spec.n
-    betas = np.geomspace(beta_lo, beta_hi, n_pts)
-    thetas = theta(betas, cfg)
-    if np.any(thetas <= 0.0):
-        raise ValueError("slope fit needs beta large enough that theta > 0 throughout")
-    slope = float(np.polyfit(np.log(betas**2), np.log(thetas), 1)[0])
-    i = cfg.regime
-    if i == Regime.POWER:
-        candidates = {
-            "stated": 1.0 - 2.0 * a + n / 2.0,
-            "inverted_tail": 1.0 / (2.0 * a - n / 2.0 + 1.0),
-        }
-    elif i == Regime.FLAT:
-        candidates = {"linear": 1.0}
-    else:
-        candidates = {}
-    return {"regime": int(i), "fitted": slope, "candidates": candidates}
-
-
 def _moment_orders(p) -> np.ndarray:
     """p as an integer array (0-d for a scalar), every entry checked to be >= 2."""
     orders = np.asarray(p)
@@ -307,29 +247,3 @@ def upper_exponent(p, beta, cfg: BoundConfig):
 def _exponent_from_theta(p, th, cfg: BoundConfig):
     """The upper exponent (p/2) (th - 2b) from th = theta(sqrt(p-1) beta)."""
     return 0.5 * p * (th - 2.0 * cfg.b)
-
-
-def semigroup_decay_bound(
-    t: float,
-    r: float,
-    sup_norm: float,
-    cfg: BoundConfig,
-    C: float = 1.0,
-) -> float:
-    """Upper bound on the heat semigroup applied to data with finite sup norm
-    and finite L^r norm.
-
-    r = +inf gives the plain maximum principle; finite r buys exponential decay
-    at rate (n-1)^2 K/(2r) for r >= 2, saturating at (n-1)^2 K/4 for r in [1,2].
-    The bound is stated through the sup norm, with the constant C absorbing
-    the L^r dependence.
-    """
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
-    if math.isnan(r) or r < 1.0:
-        raise ValueError("integrability exponent r must be in [1, +inf]")
-    if math.isinf(r):
-        return sup_norm
-    n, K = cfg.spec.n, cfg.spec.K
-    rate = (n - 1) ** 2 * K / (2.0 * r) if r >= 2.0 else (n - 1) ** 2 * K / 4.0
-    return C * math.exp(-rate * t) * sup_norm

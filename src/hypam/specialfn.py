@@ -2,8 +2,8 @@
 
 The incomplete gammas and the exponential integral wrap scipy.special; their
 log tail switches to a continued fraction where the value underflows.  The
-adaptive :func:`integrate` serves the semigroup integral and the heat-kernel
-mass check.  The kernel transforms of the comparison modes (every n != 3)
+adaptive :func:`integrate` serves the heat-kernel mass check of ``validate``.
+The kernel transforms of the comparison modes (every n != 3)
 integrate :func:`dm_h_log` with a vectorized log-time trapezoid rule in
 :mod:`hypam.kernels` instead, under the same 1e-10 relative tolerance.
 """
@@ -29,7 +29,6 @@ __all__ = [
     "gamma_upper",
     "log_gamma_upper",
     "neg_ei",
-    "dm_h",
     "dm_h_log",
 ]
 
@@ -69,7 +68,7 @@ def integrate(
     smooth for the adaptive rule.
     """
     # imported where used: scipy.integrate adds about 24 MB and 0.2 s to a
-    # process, and only validate's mass check and heat_semigroup_apply get here
+    # process, and only validate's mass check gets here
     from scipy import integrate as _scipy_integrate
 
     quad = quad or DEFAULT_QUAD
@@ -216,9 +215,9 @@ def dm_h_log(t, z, n: int):
     t_arr = np.asarray(t, dtype=float)
     z_arr = np.asarray(z, dtype=float)
     if np.any(t_arr <= 0.0):
-        raise ValueError("dm_h requires t > 0")
+        raise ValueError("dm_h_log requires t > 0")
     if np.any(z_arr < 0.0):
-        raise ValueError("dm_h requires z >= 0")
+        raise ValueError("dm_h_log requires z >= 0")
     out = (
         -0.5 * n * np.log(t_arr)
         + 0.5 * (n - 3) * np.log1p(t_arr + z_arr)
@@ -230,15 +229,3 @@ def dm_h_log(t, z, n: int):
     if np.isscalar(t) and np.isscalar(z):
         return float(out)
     return out
-
-
-def dm_h(t, z, n: int):
-    """Heat-kernel comparison profile, evaluated through its log.
-
-    Extreme arguments may round to 0.0 in double precision; :func:`dm_h_log`
-    is the authoritative value in that range.
-    """
-    lg = dm_h_log(t, z, n)
-    if np.isscalar(lg):
-        return math.exp(lg) if lg < 709.0 else math.inf
-    return np.exp(np.minimum(lg, 709.0))

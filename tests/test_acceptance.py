@@ -23,20 +23,17 @@ from hypam import (
     ModelPoint,
     NoiseSpec,
     RadialProfile,
-    ball_survival_probability,
     beta_critical,
     brownian_step,
     calibrate_lower_constant,
-    chaos_k1_estimate,
     dirichlet_eigenvalue_upper,
     f_profile,
     g_alpha,
     g_alpha_lower,
     gamma_lower,
     gamma_upper,
-    heat_kernel,
-    heat_semigroup_apply,
     intermittency_ratio,
+    moment_and_chaos,
     moment_estimate,
     moment_series,
     neg_ei,
@@ -45,7 +42,7 @@ from hypam import (
     theta,
     upper_exponent,
 )
-from hypam.hyperbolic import distance_coords, heat_kernel_log_values, sheet_violation
+from hypam.hyperbolic import distance_coords, heat_kernel_log_values, radial_walk, sheet_violation
 from hypam.specialfn import EULER_GAMMA, dm_h_log
 
 EXACT = HeatKernelMode.exact_n3()
@@ -167,7 +164,7 @@ def test_criterion_3_exact_heat_kernel():
             X = brownian_step(X, rng, dt, K)
         vals = np.exp(heat_kernel_log_values(s, distance_coords(X, z, K), n, K, EXACT))
         mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
-        exact = heat_kernel(t + s, 1.0, n, K, EXACT).value
+        exact = math.exp(heat_kernel_log_values(t + s, 1.0, n, K, EXACT))
         worst_z = max(worst_z, abs(mc - exact) / se)
     assert worst_z <= 3.0
 
@@ -270,8 +267,9 @@ def test_criterion_5_bound_pipeline():
 
 
 def test_criterion_6_feynman_kac_cross_validation():
+    from hypam import QuadratureSpec, integrate
+
     ones = RadialProfile.constant(1.0)
-    base = ModelPoint.basepoint(3, 1.0)
 
     # zero coupling, flat data: the estimator is exact
     est0 = moment_estimate(
@@ -288,7 +286,14 @@ def test_criterion_6_feynman_kac_cross_validation():
                  n_paths=20_000, seed=61, u0=bump),
         workers=4,
     )
-    q = heat_semigroup_apply(0.5, bump, base)
+
+    # P_t bump at the base point: the kernel integrated over the sphere areas
+    # 4 pi sinh(r)^2 out to the bump's radius, split about the radial drift
+    def f(r: float) -> float:
+        lg = float(heat_kernel_log_values(0.5, r, 3, 1.0, EXACT))
+        return math.exp(lg) * 4.0 * math.pi * math.sinh(r) ** 2 if lg > -700.0 else 0.0
+
+    q = integrate(f, 0.0, 2.0, QuadratureSpec(1e-9, 1e-300), split_points=(0.5, 1.0))
     z_bump = (est_b.mean - q**2) / est_b.stderr
     assert abs(z_bump) <= 3.0
 
@@ -300,7 +305,11 @@ def test_criterion_6_feynman_kac_cross_validation():
                  n_paths=N, seed=33, u0=ones),
         workers=4,
     )
-    c = chaos_k1_estimate(replace(SPEC, beta=beta), t, 0.005, N, seed=77, workers=4)
+    _, c = moment_and_chaos(
+        FkConfig(spec=replace(SPEC, beta=beta), p=2, t_end=t, dt=0.005,
+                 n_paths=N, seed=77, u0=ones),
+        workers=4,
+    )
     tol = 3.0 * math.hypot(m.stderr, beta**2 * c.stderr)
     diff = abs((m.mean - 1.0) - beta**2 * c.mean)
     assert diff <= tol
@@ -324,7 +333,9 @@ def test_criterion_7_lower_bound_machinery():
     # exit-time decay rate vs the closed-form eigenvalue bound, within 10%
     R, n, K = 1.0, 3, 1.0
     ts = [0.25, 0.4, 0.55]
-    surv = ball_survival_probability(R, n, K, ts, dt=1e-3, n_paths=60_000, seed=11)
+    # survival in the ball: paths whose largest distance so far stays within R
+    _, _, d_max = radial_walk(ModelPoint.basepoint(n, K), ts, 1e-3, 60_000, 11, 1)
+    surv = np.count_nonzero(d_max <= R, axis=1) / 60_000
     rate = -float(np.polyfit(ts, np.log(surv), 1)[0])
     lam = dirichlet_eigenvalue_upper(R, n, K)
     rate_err = abs(rate - lam) / lam

@@ -20,7 +20,6 @@ from hypam import (
     g_alpha_lower,
     lower_lyapunov,
     p_critical,
-    q_lower,
     q_sup,
 )
 from hypam.fkmc import _q_parts, _r_search_grid
@@ -28,6 +27,13 @@ from hypam.fkmc import _q_parts, _r_search_grid
 SPEC = NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0)
 # (n, alpha) pairs of the phase-diagram scans, below, at and above n/4
 CONFIGS = [(3, 0.6), (3, 1.0), (3, 1.5), (4, 0.8), (4, 1.5), (5, 1.25), (5, 2.0), (2, 0.4)]
+
+
+def q_lower(r, p, beta, spec):
+    """Q(r) at one radius, in scalar arithmetic: the pair energy on the ball
+    of radius r minus the Dirichlet eigenvalue bound for that ball."""
+    gbar = g_alpha_lower(replace(spec, alpha=2.0 * spec.alpha), float(r))
+    return beta * beta * (p - 1) * gbar - dirichlet_eigenvalue_upper(float(r), spec.n, spec.K)
 
 
 def reference_sup(p, beta, spec, r_max=math.inf):

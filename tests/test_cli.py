@@ -12,7 +12,7 @@ import pytest
 
 import hypam.cli
 import hypam.renewal
-from hypam import BoundConfig, NoiseSpec, chaos_k1_estimate, f_profile, fkmc, theta
+from hypam import BoundConfig, FkConfig, NoiseSpec, RadialProfile, f_profile, fkmc, moment_and_chaos, theta
 from hypam.cli import (
     _COMMANDS,
     DEFAULT_CONFIG,
@@ -278,7 +278,9 @@ class TestMomentMc:
         rec = jsonl_records(out / "estimates.jsonl")[1]
         assert rec["kind"] == "chaos_k1"
         spec = NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0)
-        est = chaos_k1_estimate(spec, t=0.2, dt=0.02, n_paths=1024, seed=12345)
+        ones = RadialProfile.constant(1.0)
+        cfg = FkConfig(spec, p=2, t_end=0.2, dt=0.02, n_paths=1024, seed=12345, u0=ones)
+        est = moment_and_chaos(cfg)[1]
         got = (rec["mean"], rec["stderr"], rec["log_mean"], rec["bias"], rec["n_paths"])
         assert got == (est.mean, est.stderr, est.log_mean, est.bias, est.n_paths)
 
@@ -425,6 +427,16 @@ class TestIntermittency:
         assert all(float(r["ratio"]) >= 1.0 - 3.0 * float(r["stderr"]) for r in rows)
 
 
+    def test_default_orders_return_2(self, tmp_path, capsys):
+        # the default --q 2 needs a moment order above 2; moment.p defaults to 2
+        out = tmp_path / "i"
+        assert run("intermittency", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--set moment.p=3" in err
+        assert not out.exists()
+
+
 class TestPhaseDiagram:
     def test_grids(self, tmp_path):
         out = tmp_path / "p"
@@ -474,7 +486,7 @@ class TestOutputProtocol:
             ("bounds",),
             ("phase-diagram",),
             ("slope-check",),
-            ("intermittency",),
+            ("intermittency", "--set", "moment.p=3"),
             ("validate", "--quick"),
         ],
         ids=lambda argv: argv[0],

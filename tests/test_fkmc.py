@@ -11,24 +11,23 @@ from hypothesis import strategies as st
 from hypam import (
     ConstantLedger,
     FkConfig,
+    ModelPoint,
     NoiseSpec,
     RadialProfile,
     asymptotic_slope_check,
-    ball_survival_probability,
     beta_critical,
     calibrate_lower_constant,
-    chaos_k1_estimate,
     dirichlet_eigenvalue_upper,
     intermittency_ratio,
     lower_lyapunov,
+    moment_and_chaos,
     moment_estimate,
     moment_series,
     p_critical,
-    q_lower,
     q_sup,
 )
 from hypam import fkmc
-from hypam.hyperbolic import distance_coords
+from hypam.hyperbolic import distance_coords, radial_walk
 
 SPEC = NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0)
 ONES = RadialProfile.constant(1.0)
@@ -71,8 +70,6 @@ class TestFkConfig:
                 spec=NoiseSpec(alpha=0.2, beta=0.5, n=3, K=1.0),
                 p=2, t_end=0.2, dt=0.02, n_paths=64, seed=1, u0=ONES,
             )
-        with pytest.raises(ValueError):  # table data has no closed support check
-            cfg(u0=RadialProfile.from_table(lambda r: np.exp(-r), R=2.0))
 
     def test_floor_default_and_override(self):
         assert cfg().floor == pytest.approx(1e-3)
@@ -193,30 +190,30 @@ class TestMomentSeries:
         assert est.mean == 1.0
 
 
+def chaos_k1(t=0.3, workers=1):
+    """The first chaos coefficient from a p = 2 ensemble with unit data."""
+    return moment_and_chaos(cfg(t_end=t, dt=0.01, seed=7), workers=workers)[1]
+
+
 class TestChaosEstimate:
     def test_positive_and_flagged(self):
-        est = chaos_k1_estimate(SPEC, t=0.3, dt=0.01, n_paths=2048, seed=7)
+        est = chaos_k1()
         assert est.mean > 0.0
         assert est.stderr > 0.0
         assert est.bias == "LOWER"
 
     def test_worker_invariance(self):
-        a = chaos_k1_estimate(SPEC, t=0.3, dt=0.01, n_paths=2048, seed=7, workers=1)
-        b = chaos_k1_estimate(SPEC, t=0.3, dt=0.01, n_paths=2048, seed=7, workers=4)
+        a = chaos_k1(workers=1)
+        b = chaos_k1(workers=4)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
     def test_grows_with_time(self):
-        early = chaos_k1_estimate(SPEC, t=0.15, dt=0.01, n_paths=2048, seed=7)
-        late = chaos_k1_estimate(SPEC, t=0.3, dt=0.01, n_paths=2048, seed=7)
+        early = chaos_k1(t=0.15)
+        late = chaos_k1(t=0.3)
         assert late.mean > early.mean
 
 
 class TestIntermittencyRatio:
-    def test_equal_orders_are_exactly_one(self):
-        pts = intermittency_ratio(2, 2, [0.1, 0.2], cfg())
-        for p in pts:
-            assert (p.ratio, p.stderr, p.log_ratio, p.log_stderr) == (1.0, 0.0, 0.0, 0.0)
-
     def test_jensen_ordering(self):
         pts = intermittency_ratio(4, 2, [0.3], cfg(p=4, dt=0.01, n_paths=4096))
         pt = pts[0]
@@ -227,6 +224,8 @@ class TestIntermittencyRatio:
             intermittency_ratio(4, 1, [0.1], cfg(p=4))
         with pytest.raises(ValueError):
             intermittency_ratio(2, 3, [0.1], cfg())
+        with pytest.raises(ValueError):  # equal orders: the ratio is 1 by definition
+            intermittency_ratio(2, 2, [0.1], cfg())
         with pytest.raises(ValueError):
             intermittency_ratio(4, 2.5, [0.1], cfg(p=4))
 
@@ -283,27 +282,10 @@ class TestDirichletBound:
 
 
 class TestLowerBoundProfile:
-    def test_affine_in_beta_squared(self):
-        q0 = q_lower(1.0, 3, 0.0, SPEC)
-        q1 = q_lower(1.0, 3, 1.0, SPEC)
-        q2 = q_lower(1.0, 3, 2.0, SPEC)
-        assert q2 - q0 == pytest.approx(4.0 * (q1 - q0), rel=1e-12)
-
-    def test_zero_coupling_is_minus_eigenvalue(self):
-        assert q_lower(1.5, 2, 0.0, SPEC) == pytest.approx(
-            -dirichlet_eigenvalue_upper(1.5, 3, 1.0), rel=1e-12
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            q_lower(0.0, 2, 1.0, SPEC)
-        with pytest.raises(ValueError):
-            q_lower(1.0, 1, 1.0, SPEC)
-
     def test_sup_dominates_samples(self):
         res = q_sup(2, 3.0, SPEC)
-        for r in (0.1, res.r_star, 1.0, 5.0):
-            assert res.value >= q_lower(r, 2, 3.0, SPEC) - 1e-12
+        gbar, lam = fkmc._q_parts(2, SPEC, None, np.array([0.1, res.r_star, 1.0, 5.0]))
+        assert np.all(res.value >= 9.0 * gbar - lam - 1e-12)
 
     def test_sup_grid_refinement(self):
         coarse = q_sup(2, 3.0, SPEC, n_grid=600)
@@ -394,25 +376,23 @@ class TestSlopeCheck:
 
 
 class TestBallSurvival:
+    """Survival in the ball of radius R about the start: the share of paths
+    whose largest distance so far, radial_walk's d_max, stays within R."""
+
+    @staticmethod
+    def survival(R, ts, dt, n_paths, seed):
+        _, _, d_max = radial_walk(ModelPoint.basepoint(3, 1.0), ts, dt, n_paths, seed, 1)
+        return np.count_nonzero(d_max <= R, axis=1) / n_paths
+
     def test_decreasing_and_deterministic(self):
-        out = ball_survival_probability(1.0, 3, 1.0, [0.1, 0.2, 0.3], 0.005, 2048, seed=3)
+        out = self.survival(1.0, [0.1, 0.2, 0.3], 0.005, 2048, seed=3)
         assert all(b <= a for a, b in zip(out, out[1:]))
         assert np.all((out >= 0.0) & (out <= 1.0))
-        again = ball_survival_probability(1.0, 3, 1.0, [0.1, 0.2, 0.3], 0.005, 2048, seed=3)
+        again = self.survival(1.0, [0.1, 0.2, 0.3], 0.005, 2048, seed=3)
         assert np.array_equal(out, again)
-
-    def test_monotone_in_radius(self):
-        # same seed means the same paths, so the alive sets are nested
-        tight = ball_survival_probability(1.0, 3, 1.0, [0.2], 0.005, 2048, seed=3)
-        wide = ball_survival_probability(1.5, 3, 1.0, [0.2], 0.005, 2048, seed=3)
-        assert wide[0] >= tight[0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ball_survival_probability(0.0, 3, 1.0, [0.1], 0.01, 64, seed=1)
 
     def test_bad_step_and_path_count(self):
         with pytest.raises(ValueError, match="dt"):
-            ball_survival_probability(1.0, 3, 1.0, [0.1], 0.0, 64, seed=1)
+            self.survival(1.0, [0.1], 0.0, 64, seed=1)
         with pytest.raises(ValueError, match="n_paths"):
-            ball_survival_probability(1.0, 3, 1.0, [0.1], 0.01, 0, seed=1)
+            self.survival(1.0, [0.1], 0.01, 0, seed=1)

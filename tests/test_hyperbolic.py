@@ -1,4 +1,4 @@
-"""Hyperboloid geometry, Brownian sampling, heat kernels, and the semigroup."""
+"""Hyperboloid geometry, Brownian sampling, and heat kernels."""
 
 import io
 import math
@@ -14,22 +14,19 @@ from hypam import (
     HeatKernelMode,
     ModelPoint,
     NoiseSpec,
+    QuadratureSpec,
     RadialProfile,
     brownian_path,
     brownian_step,
     distance_coords,
-    exp_map,
-    heat_kernel,
-    heat_semigroup_apply,
+    integrate,
     minkowski_inner,
     sheet_violation,
     stream_generator,
-    tangent_at,
 )
 from hypam import fkmc
 from hypam.hyperbolic import (
     BLOCK_SIZE,
-    distance,
     heat_kernel_log_values,
     radial_walk,
     run_blocks,
@@ -49,7 +46,7 @@ class TestModelPoint:
     def test_basepoint(self):
         o = ModelPoint.basepoint(3, 4.0)
         assert o.coords[0] == pytest.approx(0.5)
-        assert distance(o, o) == 0.0
+        assert distance_coords(o.coords, o.coords, o.K) == 0.0
 
     def test_constraint_rejected(self):
         with pytest.raises(ValueError):
@@ -71,14 +68,16 @@ class TestModelPoint:
         spatial = np.array([math.sinh(40.0), 0.0, 0.0])
         coords = np.concatenate([[math.sqrt(1.0 + math.sinh(40.0) ** 2)], spatial])
         p = ModelPoint(coords, 3, 1.0)
-        assert distance(ModelPoint.basepoint(3, 1.0), p) == pytest.approx(40.0, rel=1e-12)
+        assert distance_coords(ModelPoint.basepoint(3, 1.0).coords, p.coords, 1.0) == pytest.approx(
+            40.0, rel=1e-12
+        )
 
 
 class TestDistance:
     def test_unit_geodesic(self):
         o = ModelPoint.basepoint(2, 1.0)
         y = ModelPoint(np.array([math.cosh(1.0), math.sinh(1.0), 0.0]), 2, 1.0)
-        assert distance(o, y) == pytest.approx(1.0, rel=1e-12)
+        assert distance_coords(o.coords, y.coords, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetry_and_identity(self):
         rng = np.random.default_rng(3)
@@ -99,58 +98,6 @@ class TestDistance:
         dxy = distance_coords(x, y, 1.0)
         dyz = distance_coords(y, z, 1.0)
         assert np.all(dxz <= dxy + dyz + 1e-9)
-
-    def test_chart_mismatch(self):
-        with pytest.raises(ValueError):
-            distance(ModelPoint.basepoint(2, 1.0), ModelPoint.basepoint(3, 1.0))
-        with pytest.raises(ValueError):
-            distance(ModelPoint.basepoint(2, 1.0), ModelPoint.basepoint(2, 2.0))
-
-
-class TestExpMap:
-    def test_zero_vector(self):
-        o = ModelPoint.basepoint(3, 1.0)
-        out = exp_map(o, np.zeros(4))
-        assert np.allclose(out.coords, o.coords)
-
-    def test_distance_roundtrip(self):
-        for K in (1.0, 3.0):
-            o = ModelPoint.basepoint(3, K)
-            for r in (0.01, 1.0, 10.0):
-                v = np.array([0.0, r, 0.0, 0.0])
-                y = exp_map(o, v)
-                assert distance(o, y) == pytest.approx(r, abs=1e-8)
-
-    def test_exp_log_roundtrip(self):
-        # local log built from the same formulas: tangent projection scaled
-        # to the geodesic distance
-        K = 1.5
-        rng = np.random.default_rng(8)
-        X = random_points(3, K, 20, rng, scale=0.8)
-        for i in range(19):
-            x, y = X[i], X[i + 1]
-            d = float(distance_coords(x, y, K))
-            w = y - K * float(minkowski_inner(x, y)) * x
-            nw = math.sqrt(max(-float(minkowski_inner(w, w)), 0.0))
-            v = (d / nw) * w
-            z = exp_map(ModelPoint(x, 3, K), v)
-            # exact identity up to roundoff; comparing coordinates avoids the
-            # sqrt(eps) conditioning of arccosh near coincident points
-            assert np.allclose(z.coords, y, rtol=1e-10, atol=1e-10)
-
-    def test_tangency_enforced(self):
-        o = ModelPoint.basepoint(3, 1.0)
-        with pytest.raises(ValueError):
-            exp_map(o, np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def test_transported_frame_is_tangent(self):
-        rng = np.random.default_rng(4)
-        X = random_points(3, 1.0, 30, rng, scale=3.0)
-        xi = rng.standard_normal((30, 3))
-        V = tangent_at(X, xi, 1.0)
-        ip = minkowski_inner(X, V)
-        scale = np.linalg.norm(X, axis=1) * np.linalg.norm(V, axis=1)
-        assert np.all(np.abs(ip) <= 1e-9 * scale)
 
 
 class TestBrownianPath:
@@ -189,6 +136,15 @@ class TestBrownianPath:
         m = float(np.mean(d2))
         se = float(np.std(d2, ddof=1)) / math.sqrt(len(d2))
         assert abs(m - 2 * n * dt) <= 3 * se
+
+    def test_step_length_is_the_frame_norm(self):
+        # the step follows a geodesic for the length of its frame vector
+        K, dt = 1.5, 0.01
+        X = random_points(3, K, 256, np.random.default_rng(6))
+        xi = stream_generator(8, 0).standard_normal((256, 3)) * math.sqrt(2.0 * dt)
+        Y = brownian_step(X, stream_generator(8, 0), dt, K)
+        d = distance_coords(X, Y, K)
+        np.testing.assert_allclose(d, np.linalg.norm(xi, axis=1), rtol=1e-9)
 
     def test_long_run_stays_on_sheet(self):
         # far-field stability: the walk reaches d ~ 50 without losing the
@@ -453,26 +409,35 @@ class TestHeatKernel:
     def test_exact_center_value(self):
         # P_t(0) = (4 pi t)^(-3/2) e^(-t) at K = 1
         for t in (0.1, 1.0, 2.5):
-            hk = heat_kernel(t, 0.0, 3, 1.0, HeatKernelMode.exact_n3())
-            assert hk.value == pytest.approx((4 * math.pi * t) ** -1.5 * math.exp(-t), rel=1e-12)
-            assert hk.mode is BracketMode.EXACT
+            lg = heat_kernel_log_values(t, 0.0, 3, 1.0, HeatKernelMode.exact_n3())
+            assert math.exp(lg) == pytest.approx((4 * math.pi * t) ** -1.5 * math.exp(-t), rel=1e-12)
+        assert HeatKernelMode.exact_n3().bracket is BracketMode.EXACT
 
     def test_exact_requires_n3(self):
         with pytest.raises(ValueError):
-            heat_kernel(1.0, 0.5, 2, 1.0, HeatKernelMode.exact_n3())
+            heat_kernel_log_values(1.0, 0.5, 2, 1.0, HeatKernelMode.exact_n3())
 
     def test_mass_conservation(self):
-        o = ModelPoint.basepoint(3, 1.0)
+        # the kernel integrated over the sphere areas 4 pi sinh(r)^2 (K = 1)
+        quad = QuadratureSpec(relative_tolerance=1e-9, absolute_tolerance=1e-300)
         for t in (0.1, 1.0, 5.0):
-            mass = heat_semigroup_apply(t, RadialProfile.constant(1.0), o)
+
+            def f(r):
+                lg = heat_kernel_log_values(t, r, 3, 1.0, HeatKernelMode.exact_n3())
+                return math.exp(lg) * 4.0 * math.pi * math.sinh(r) ** 2 if lg > -700.0 else 0.0
+
+            splits = [t, 2.0 * t, 4.0 * t + 6.0 * math.sqrt(t)]  # about the radial drift 2t
+            mass = integrate(f, 0.0, math.inf, quad, split_points=splits)
             assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_curvature_scaling(self):
         # P^K_t(r) = K^(3/2) P^1_(Kt)(sqrt(K) r)
         K = 2.7
         for t, r in ((0.3, 0.5), (1.1, 2.0)):
-            lhs = heat_kernel(t, r, 3, K, HeatKernelMode.exact_n3()).value
-            rhs = K**1.5 * heat_kernel(K * t, math.sqrt(K) * r, 3, 1.0, HeatKernelMode.exact_n3()).value
+            lhs = math.exp(heat_kernel_log_values(t, r, 3, K, HeatKernelMode.exact_n3()))
+            rhs = K**1.5 * math.exp(
+                heat_kernel_log_values(K * t, math.sqrt(K) * r, 3, 1.0, HeatKernelMode.exact_n3())
+            )
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_monotone_in_distance(self):
@@ -482,12 +447,13 @@ class TestHeatKernel:
             assert np.all(np.diff(vals) < 0.0)
 
     def test_bracket_constants_scale(self):
-        up = heat_kernel(0.5, 1.0, 4, 1.0, HeatKernelMode.dm_upper(3.0))
-        lo = heat_kernel(0.5, 1.0, 4, 1.0, HeatKernelMode.dm_lower(0.25))
-        base_up = heat_kernel(0.5, 1.0, 4, 1.0, HeatKernelMode.dm_upper(1.0))
-        assert up.value == pytest.approx(3.0 * base_up.value, rel=1e-12)
-        assert lo.value == pytest.approx(0.25 / 1.0 * base_up.value, rel=1e-12)
-        assert up.mode is BracketMode.UPPER and lo.mode is BracketMode.LOWER
+        up_mode, lo_mode = HeatKernelMode.dm_upper(3.0), HeatKernelMode.dm_lower(0.25)
+        up = math.exp(heat_kernel_log_values(0.5, 1.0, 4, 1.0, up_mode))
+        lo = math.exp(heat_kernel_log_values(0.5, 1.0, 4, 1.0, lo_mode))
+        base_up = math.exp(heat_kernel_log_values(0.5, 1.0, 4, 1.0, HeatKernelMode.dm_upper(1.0)))
+        assert up == pytest.approx(3.0 * base_up, rel=1e-12)
+        assert lo == pytest.approx(0.25 / 1.0 * base_up, rel=1e-12)
+        assert up_mode.bracket is BracketMode.UPPER and lo_mode.bracket is BracketMode.LOWER
 
     def test_two_sided_bracket_order(self):
         # with fitted constants the exact kernel sits inside the bracket
@@ -509,46 +475,15 @@ class TestHeatKernel:
             HeatKernelMode.dm_upper(-1.0)
 
 
-class TestSemigroup:
-    def test_initial_condition_recovery(self):
-        o = ModelPoint.basepoint(3, 1.0)
-        val = heat_semigroup_apply(1e-4, RadialProfile.bump(0.7, 1.0), o)
-        assert val == pytest.approx(0.7, rel=1e-4)
-
-    def test_mc_mass(self):
-        o = ModelPoint.basepoint(3, 1.0)
-        mean, stderr = heat_semigroup_apply(
-            1.0, RadialProfile.constant(1.0), o, method="mc", n_paths=2000, seed=3
-        )
-        assert mean == 1.0 and stderr == 0.0
-
-    def test_dual_route_agreement(self):
-        o = ModelPoint.basepoint(3, 1.0)
-        u0 = RadialProfile.bump(1.0, 1.0)
-        quad = heat_semigroup_apply(0.5, u0, o, method="quadrature")
-        mc, se = heat_semigroup_apply(
-            0.5, u0, o, method="monte-carlo", n_paths=40000, dt=0.005, seed=21
-        )
-        assert abs(quad - mc) <= 3.0 * se
-
-    def test_method_validation(self):
-        o = ModelPoint.basepoint(3, 1.0)
-        with pytest.raises(ValueError):
-            heat_semigroup_apply(1.0, RadialProfile.constant(1.0), o, method="exact")
-        with pytest.raises(ValueError):
-            heat_semigroup_apply(0.0, RadialProfile.constant(1.0), o)
-
-
 class TestRadialProfile:
     def test_constant(self):
         u = RadialProfile.constant(2.5)
         assert u.value(0.0) == 2.5 and u.value(100.0) == 2.5
-        assert not u.compact
 
     def test_bump(self):
         u = RadialProfile.bump(0.5, 2.0)
         assert u.value(1.9) == 0.5 and u.value(2.1) == 0.0
-        assert u.compact and u.R == 2.0
+        assert u.R == 2.0
         vals = u.value(np.array([0.0, 2.0, 3.0]))
         assert vals.tolist() == [0.5, 0.5, 0.0]
 

@@ -1,8 +1,7 @@
 """Fractional kernels: the time-integral transform, its closed-form lower
-bound, calibration, the memoized grid, and the covariance form."""
+bound, calibration, and the memoized grid."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +12,7 @@ from hypam import (
     HeatKernelMode,
     KernelGrid,
     NoiseSpec,
-    RadialProfile,
     calibrate_lower_constant,
-    covariance_form,
     dalang_check,
     QuadratureError,
     g_alpha,
@@ -395,66 +392,3 @@ class TestKernelGridLookup:
             got = grid(view)
             assert got.shape == view.shape
             assert np.array_equal(got, reference(view))
-
-
-class TestCovarianceForm:
-    def test_bilinear_symmetric_positive(self):
-        spec = spec_for(1.0, beta=0.5)
-        f = RadialProfile.bump(1.0, 0.8)
-        f2 = RadialProfile.bump(2.0, 0.8)
-        g = RadialProfile.bump(1.5, 1.2)
-        shared = KernelGrid(
-            replace(spec, alpha=2.0 * spec.alpha),
-            source="exact",
-            delta_floor=1e-4,
-            d_max=3.5,
-        )
-        v_fg = covariance_form(f, g, spec, grid=shared)
-        v_f2g = covariance_form(f2, g, spec, grid=shared)
-        v_gf = covariance_form(g, f, spec, grid=shared)
-        v_ff = covariance_form(f, f, spec, grid=shared)
-        assert v_f2g == pytest.approx(2.0 * v_fg, rel=1e-12)
-        assert v_gf == pytest.approx(v_fg, rel=1e-12)
-        assert v_ff > 0.0 and v_fg > 0.0
-
-    def test_monte_carlo_oracle(self):
-        # eps^2 vol(B_R)^2 E[G(d(X,Y))] with X, Y uniform in the ball
-        spec = spec_for(1.0, beta=0.5)
-        R = 0.8
-        v_ff = covariance_form(RadialProfile.bump(1.0, R), RadialProfile.bump(1.0, R), spec)
-
-        rng = np.random.default_rng(2024)
-        N = 200000
-        env = math.sinh(R) ** 2
-
-        def draw_r(count):
-            out = np.empty(0)
-            while out.size < count:
-                r = rng.uniform(0.0, R, size=2 * count)
-                u = rng.uniform(0.0, env, size=2 * count)
-                out = np.concatenate([out, r[u < np.sinh(r) ** 2]])
-            return out[:count]
-
-        a, b = draw_r(N), draw_r(N)
-        c = rng.uniform(-1.0, 1.0, size=N)
-        ch = np.cosh(a) * np.cosh(b) - np.sinh(a) * np.sinh(b) * c
-        d = np.arccosh(np.maximum(ch, 1.0))
-
-        spec2 = replace(spec, alpha=2.0 * spec.alpha)
-        grid = KernelGrid(spec2, source="exact", delta_floor=1e-4, d_max=2 * R + 0.1)
-        vals = grid(d)
-        vol = math.pi * (math.sinh(2 * R) - 2 * R)
-        est = vol * vol * float(np.mean(vals))
-        se = vol * vol * float(np.std(vals, ddof=1)) / math.sqrt(N)
-        assert abs(v_ff - est) <= 3.0 * se
-
-    def test_rejects_noncompact(self):
-        spec = spec_for(1.0)
-        with pytest.raises(ValueError):
-            covariance_form(RadialProfile.constant(1.0), RadialProfile.bump(1.0, 1.0), spec)
-
-    def test_rejects_other_dimensions(self):
-        spec = spec_for(1.0, n=4)
-        f = RadialProfile.bump(1.0, 1.0)
-        with pytest.raises(ValueError):
-            covariance_form(f, f, spec)

@@ -12,11 +12,8 @@ from hypam import (
     NoiseSpec,
     Regime,
     f_profile,
-    psi_upper,
     regime_of,
-    semigroup_decay_bound,
     theta,
-    theta_slope_report,
     upper_exponent,
 )
 from hypam import renewal
@@ -59,23 +56,6 @@ class TestRegimes:
             cfg_for(1.0, r=math.nan)
         with pytest.raises(ValueError):
             cfg_for(1.0, C_chaos=0.0)
-
-
-class TestPsiUpper:
-    def test_frozen_values(self):
-        cfg = cfg_for(1.0)
-        assert psi_upper(0.1, cfg) == pytest.approx(1.0, rel=1e-12)
-        assert psi_upper(0.5, cfg) == pytest.approx(1.5443310539518174, rel=1e-12)
-        assert psi_upper(2.0, cfg) == pytest.approx(0.19245008972987526, rel=1e-12)
-
-    def test_chaos_constant_scales_quadratically(self):
-        base = psi_upper(0.3, cfg_for(1.0, C_chaos=1.0))
-        assert psi_upper(0.3, cfg_for(1.0, C_chaos=2.0)) == pytest.approx(4.0 * base, rel=1e-12)
-
-    def test_positive(self):
-        cfg = cfg_for(1.0)
-        for t in (0.01, 0.49999, 0.5, 0.50001, 10.0):
-            assert psi_upper(t, cfg) > 0.0
 
 
 class TestProfileTerms:
@@ -193,16 +173,6 @@ class TestTheta:
         slope = np.polyfit(np.log(betas), np.log(ths), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
 
-    def test_slope_report_candidates(self):
-        rep = theta_slope_report(cfg_for(1.0))
-        assert rep["regime"] == Regime.FLAT  # stored as a plain int for serialization
-        assert rep["fitted"] == pytest.approx(1.0, abs=0.025)  # per beta^2
-        assert rep["candidates"] == {"linear": 1.0}
-        rep_p = theta_slope_report(cfg_for(0.5))
-        assert set(rep_p["candidates"]) == {"stated", "inverted_tail"}
-        assert rep_p["candidates"]["stated"] == pytest.approx(1.5)
-        assert rep_p["candidates"]["inverted_tail"] == pytest.approx(2.0)
-
 
 class TestUpperExponent:
     def test_small_beta_exact_value(self):
@@ -221,27 +191,6 @@ class TestUpperExponent:
         cfg = cfg_for(1.0)
         vals = [upper_exponent(p, 5.0, cfg) for p in (2, 3, 4, 6)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-class TestSemigroupDecay:
-    def test_sup_norm_case(self):
-        cfg = cfg_for(1.0)
-        assert semigroup_decay_bound(3.0, math.inf, 2.0, cfg) == 2.0
-
-    def test_decay_rates(self):
-        cfg = cfg_for(1.0)  # n=3, K=1
-        # r >= 2: rate (n-1)^2 K / (2r); 1 <= r < 2: rate (n-1)^2 K / 4
-        for r, rate in ((2.0, 1.0), (4.0, 0.5), (1.5, 1.0), (1.0, 1.0)):
-            v1 = semigroup_decay_bound(1.0, r, 1.0, cfg)
-            v2 = semigroup_decay_bound(2.0, r, 1.0, cfg)
-            assert v2 / v1 == pytest.approx(math.exp(-rate), rel=1e-12)
-
-    def test_validation(self):
-        cfg = cfg_for(1.0)
-        with pytest.raises(ValueError):
-            semigroup_decay_bound(1.0, 0.5, 1.0, cfg)
-        with pytest.raises(ValueError):
-            semigroup_decay_bound(1.0, math.nan, 1.0, cfg)
 
 
 def same_bits(a, b):

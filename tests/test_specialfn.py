@@ -8,7 +8,6 @@ import pytest
 from hypam import (
     QuadratureError,
     QuadratureSpec,
-    dm_h,
     dm_h_log,
     gamma_lower,
     gamma_upper,
@@ -124,16 +123,21 @@ class TestNegEi:
 class TestComparisonProfile:
     def test_center_values(self):
         # closed forms at z = 0
-        assert dm_h(1.0, 0.0, 3) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert dm_h(1.0, 0.0, 2) == pytest.approx(0.5506953149031837, rel=1e-12)
+        assert math.exp(dm_h_log(1.0, 0.0, 3)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert math.exp(dm_h_log(1.0, 0.0, 2)) == pytest.approx(0.5506953149031837, rel=1e-12)
 
     def test_log_consistency(self):
+        # the log form against the profile's product form
         for n in (2, 3, 5):
             for t in (0.05, 1.0, 4.0):
                 for z in (0.0, 0.3, 2.0, 9.0):
-                    assert math.exp(dm_h_log(t, z, n)) == pytest.approx(
-                        dm_h(t, z, n), rel=1e-12
+                    h = (
+                        t ** (-n / 2.0)
+                        * (1.0 + t + z) ** ((n - 3) / 2.0)
+                        * (1.0 + z)
+                        * math.exp(-z * z / (4.0 * t) - (n - 1) ** 2 * t / 4.0 - (n - 1) * z / 2.0)
                     )
+                    assert math.exp(dm_h_log(t, z, n)) == pytest.approx(h, rel=1e-12)
 
     def test_monotone_in_z(self):
         # the (1+z) prefactor gives n=2 a small hump at the origin, so the
@@ -147,7 +151,7 @@ class TestComparisonProfile:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_positive(self):
-        assert dm_h(0.1, 5.0, 3) > 0.0
+        assert math.exp(dm_h_log(0.1, 5.0, 3)) > 0.0
 
 
 class TestQuadratureEngine:
