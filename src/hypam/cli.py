@@ -4,8 +4,9 @@ Every subcommand reads one configuration tree (JSON file plus dotted-key
 overrides) and computes its plain CSV/JSON-lines outputs; only then does
 ``main`` create the output directory, write them, and drop an experiment
 manifest beside them: the full configuration echo, the master seed, every
-ledger constant with its provenance, and a content digest per output file.  Re-running a subcommand with an identical manifest
-reproduces the numeric outputs byte for byte (wall-time fields aside).
+ledger constant with its provenance, and a content digest per output file.
+Re-running a subcommand reproduces every output file byte for byte, so the
+manifests differ only in the run's timer, wall_time_s.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ DEFAULT_CONFIG: dict = {
 
 # keys read as integers; load_config stores each as an int
 _INT_KEYS = (("model", "n"), ("moment", "p"), ("mc", "n_paths"), ("mc", "seed"), ("mc", "workers"))
+# keys read as numbers, kernel.delta_floor also as null; load_config checks
+# each and stores it unchanged, and every constants.* value as a float
+_NUMBER_KEYS = ("model.K", "noise.alpha", "noise.beta", "mc.t_end", "mc.dt", "u0.epsilon", "u0.R",
+                "kernel.delta_floor")
 
 
 class ConfigError(ValueError):
@@ -95,12 +100,11 @@ def _merge_config(base: dict, incoming: dict, source: str) -> None:
                 f"{source}: unknown section {section!r}; valid sections: "
                 + ", ".join(sorted(base))
             )
-        if section == "constants":
-            for k, v in values.items():
-                base["constants"][k] = float(v)
-            continue
         if not isinstance(values, dict):
             raise ConfigError(f"{source}: section {section!r} must be a table")
+        if section == "constants":
+            base["constants"].update(values)
+            continue
         for key, v in values.items():
             if key not in base[section]:
                 raise ConfigError(
@@ -119,7 +123,7 @@ def _apply_override(config: dict, item: str) -> None:
         raise ConfigError(f"--set key must be dotted (section.key), got {key!r}")
     value = _parse_scalar(raw)
     if section == "constants":
-        config["constants"][name] = float(value)
+        config["constants"][name] = value
         return
     if section not in config or name not in config[section]:
         valid = [f"{s}.{k}" for s in config if s != "constants" for k in config[s]]
@@ -150,7 +154,21 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         _apply_override(config, item)
     for section, key in _INT_KEYS:
         config[section][key] = _int_value(f"{section}.{key}", config[section][key])
+    for key in _NUMBER_KEYS:
+        section, name = key.split(".")
+        if not (name == "delta_floor" and config[section][name] is None):
+            _check_number(key, config[section][name])
+    consts = config["constants"]
+    for name, value in consts.items():
+        consts[name] = float(_check_number(f"constants.{name}", value))
     return config
+
+
+def _check_number(name: str, raw):
+    """raw itself if it is an int or a float; a boolean is not a number."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return raw
+    raise ConfigError(f"{name} must be a number, got {raw!r}")
 
 
 def _int_value(name: str, raw) -> int:
@@ -196,7 +214,7 @@ def build_fk(config: dict) -> FkConfig:
         n_paths=int(mc["n_paths"]),
         seed=int(mc["seed"]),
         u0=build_u0(config),
-        kernel_mode=str(kern["mode"]),
+        kernel_mode=kern["mode"],
         delta_floor=None if floor is None else float(floor),
     )
 
@@ -281,8 +299,7 @@ def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, d
     if n == 3 and ledger.entry("gbar_C").provenance == "default":
         calibrate_lower_constant(spec, ledger, d_grid=d_grid)
     lower_vals = g_alpha_lower(spec, d_grid, ledger).tolist()
-    lower = BracketMode.LOWER.value
-    rows = [[d, v, lower, spec.alpha, n, K] for d, v in zip(ds, lower_vals)]
+    rows = [[d, v, BracketMode.LOWER.value, spec.alpha, n, K] for d, v in zip(ds, lower_vals)]
     files.append(_table("g_alpha_lower", header, rows, args.format))
     rows = []
     for t in (0.1, 1.0, 5.0):
@@ -328,16 +345,14 @@ def _estimate_record(kind: str, config: dict, est) -> dict:
 
 
 def cmd_moment_mc(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
-    t0 = time.perf_counter()
     _require_dalang(config)
     cfg = build_fk(config)
     workers = int(config["mc"]["workers"])
     est, chaos = moment_and_chaos(cfg, workers=workers, ledger=ledger)
     records = [_estimate_record("moment", config, est)]
-    if cfg.spec.n == 3 and cfg.kernel_mode == "exact":
+    if cfg.kernel_mode is BracketMode.EXACT:
         records.append(_estimate_record("chaos_k1", config, chaos))
-    wall = time.perf_counter() - t0
-    lines = [json.dumps({**rec, "wall_time_s": wall}, sort_keys=True) + "\n" for rec in records]
+    lines = [json.dumps(rec, sort_keys=True) + "\n" for rec in records]
     return 0, {"estimates.jsonl": "".join(lines)}
 
 

@@ -36,6 +36,7 @@ from scipy.special import jv
 
 from .hyperbolic import (
     BLOCK_SIZE,
+    BracketMode,
     ModelPoint,
     RadialProfile,
     distance_coords,
@@ -71,9 +72,10 @@ class FkConfig:
     """Inputs of one moment estimation run.
 
     u0 must be a constant or bump profile (the bump is centered at the common
-    starting point of the paths).  kernel_mode picks the pairwise kernel:
-    'exact' needs n = 3, 'lower' uses the closed-form lower bound and marks
-    the estimate as downward biased.  delta_floor defaults to 1e-3/sqrt(K).
+    starting point of the paths).  kernel_mode picks the pairwise kernel and
+    is stored as a BracketMode: EXACT ('exact') needs n = 3, LOWER ('lower')
+    uses the closed-form lower bound and marks the estimate as downward
+    biased.  delta_floor defaults to 1e-3/sqrt(K).
     """
 
     spec: NoiseSpec
@@ -83,7 +85,7 @@ class FkConfig:
     n_paths: int
     seed: int
     u0: RadialProfile
-    kernel_mode: str = "exact"
+    kernel_mode: BracketMode = BracketMode.EXACT
     delta_floor: float | None = None
 
     def __post_init__(self) -> None:
@@ -95,9 +97,10 @@ class FkConfig:
             raise ValueError("t_end and dt must be positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.kernel_mode not in ("exact", "lower"):
+        if self.kernel_mode not in (BracketMode.EXACT, BracketMode.LOWER):
             raise ValueError("kernel_mode must be 'exact' or 'lower'")
-        if self.kernel_mode == "exact" and self.spec.n != 3:
+        object.__setattr__(self, "kernel_mode", BracketMode(self.kernel_mode))
+        if self.kernel_mode is BracketMode.EXACT and self.spec.n != 3:
             raise ValueError("exact kernel mode needs n = 3")
         if self.delta_floor is not None and not (self.delta_floor > 0.0):
             raise ValueError("delta_floor must be positive")
@@ -237,7 +240,7 @@ def _reduce_log_weights(logw: np.ndarray) -> tuple[float, float, float]:
 def _bias_flag(cfg: FkConfig) -> str:
     # the s = 0 trapezoid node always sits below the floor, so any nonzero
     # coupling inherits the downward cap bias
-    if cfg.kernel_mode == "lower" or cfg.spec.beta > 0.0:
+    if cfg.kernel_mode is BracketMode.LOWER or cfg.spec.beta > 0.0:
         return "LOWER"
     return "UNBIASED"
 
@@ -706,21 +709,18 @@ def asymptotic_slope_check(
     fit_var = grid * (grid - 1.0) if axis == "p" else grid
     if len(grid) < 2 or fit_var.max() < 10.0 * fit_var.min():
         raise ValueError("grid must span at least one decade")
-    case = {Regime.POWER: "A", Regime.LOG: "B", Regime.FLAT: "C"}[regime_of(spec.alpha, spec.n)]
+    regime = regime_of(spec.alpha, spec.n)
+    flat = regime is Regime.FLAT  # the bounded-kernel case C, the one pinned rate
     a, n = spec.alpha, spec.n
+    claimed = 2.0 if flat else None
     if axis == "beta":
         exps = lower_lyapunov(int(p_or_beta), grid, spec, ledger, r_max)
         if np.any(exps <= 0.0):
             raise ValueError("exponent not positive on the whole grid; raise the couplings")
         fitted = float(np.polyfit(np.log(grid), np.log(exps), 1)[0])
-        claimed = 2.0 if case == "C" else None
-        if case == "A":
-            balance = 4.0 / (4.0 * a - n + 2.0)
-        elif case == "C":
-            balance = 2.0
-        else:
-            balance = None
-        passed = (abs(fitted - 2.0) <= 0.1) if case == "C" else None
+        # the small-r balance rate in case A; in case C it is the claimed 2
+        balance = 4.0 / (4.0 * a - n + 2.0) if regime is Regime.POWER else claimed
+        passed = (abs(fitted - 2.0) <= 0.1) if flat else None
         spread = None
     elif axis == "p":
         beta = float(p_or_beta)
@@ -736,15 +736,14 @@ def asymptotic_slope_check(
         fitted = float(np.polyfit(np.log(ps), np.log(exps), 1)[0])
         ratios = exps / np.array([pp * (pp - 1.0) for pp in ps])
         spread = float(ratios.max() / ratios.min() - 1.0)
-        claimed = 2.0 if case == "C" else None
         balance = None
-        passed = (spread <= 0.1) if case == "C" else None
+        passed = (spread <= 0.1) if flat else None
         grid = np.asarray(ps, dtype=float)
     else:
         raise ValueError("axis must be 'beta' or 'p'")
     return SlopeReport(
         axis=axis,
-        case=case,
+        case={Regime.POWER: "A", Regime.LOG: "B", Regime.FLAT: "C"}[regime],
         grid=tuple(float(g) for g in grid),
         exponents=tuple(float(e) for e in exps),
         fitted_slope=fitted,

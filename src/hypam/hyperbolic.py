@@ -60,6 +60,9 @@ _NORM_TOL = 1e-9
 
 
 class BracketMode(str, enum.Enum):
+    """Which side of the true kernel a value sits on; a str enum, so the
+    strings "exact", "lower" and "upper" coerce to it and compare equal."""
+
     EXACT = "exact"
     LOWER = "lower"
     UPPER = "upper"
@@ -67,43 +70,29 @@ class BracketMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HeatKernelMode:
-    """Evaluation mode for heat kernels: exact closed form or a two-sided bound.
+    """Evaluation mode for heat kernels: the exact n = 3 closed form, or the
+    comparison profile times the constant C (default 1, meant to be fitted or
+    supplied by a ledger), a bound from the bracket's side."""
 
-    The comparison-profile modes carry the multiplicative constants of the
-    bound; defaults are 1 and are meant to be fitted or supplied by a ledger.
-    """
-
-    kind: str
-    C_upper: float = 1.0
-    c_lower: float = 1.0
-
-    _KINDS = ("exact_n3", "dm_upper", "dm_lower")
+    bracket: BracketMode
+    C: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown heat kernel mode {self.kind!r}")
-        if not (self.C_upper > 0.0 and self.c_lower > 0.0):
+        object.__setattr__(self, "bracket", BracketMode(self.bracket))
+        if not self.C > 0.0:
             raise ValueError("heat kernel bound constants must be positive")
 
     @classmethod
     def exact_n3(cls) -> "HeatKernelMode":
-        return cls("exact_n3")
+        return cls(BracketMode.EXACT)
 
     @classmethod
     def dm_upper(cls, C: float = 1.0) -> "HeatKernelMode":
-        return cls("dm_upper", C_upper=C)
+        return cls(BracketMode.UPPER, C)
 
     @classmethod
     def dm_lower(cls, c: float = 1.0) -> "HeatKernelMode":
-        return cls("dm_lower", c_lower=c)
-
-    @property
-    def bracket(self) -> BracketMode:
-        return {
-            "exact_n3": BracketMode.EXACT,
-            "dm_upper": BracketMode.UPPER,
-            "dm_lower": BracketMode.LOWER,
-        }[self.kind]
+        return cls(BracketMode.LOWER, c)
 
 
 @dataclass(frozen=True)
@@ -354,9 +343,6 @@ class BrownianPath:
     K: float
     seed: object
 
-    def point(self, i: int) -> ModelPoint:
-        return ModelPoint(self.points[i], self.n, self.K)
-
     def to_csv(self, f: IO[str]) -> None:
         cols = ",".join(f"coord_{i}" for i in range(self.n + 1))
         f.write(f"step,time,{cols}\n")
@@ -395,7 +381,8 @@ def _log_sinh(r: np.ndarray) -> np.ndarray:
 
 
 def heat_kernel_log_values(t: float, d, n: int, K: float, mode: HeatKernelMode):
-    """log heat-kernel values at time t and distances d (vectorized over d)."""
+    """log heat-kernel values at time t and distances d (vectorized over d):
+    the n = 3 closed form in the EXACT mode, else the profile times mode.C."""
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("heat kernel requires t > 0")
     d_arr = np.asarray(d, dtype=float)
@@ -403,7 +390,7 @@ def heat_kernel_log_values(t: float, d, n: int, K: float, mode: HeatKernelMode):
         raise ValueError("distance must be nonnegative")
     rho = math.sqrt(K) * d_arr
     tau = K * t
-    if mode.kind == "exact_n3":
+    if mode.bracket is BracketMode.EXACT:
         if n != 3:
             raise ValueError("the exact closed-form kernel is only available for n = 3")
         tinyr = rho < 1e-8
@@ -419,8 +406,7 @@ def heat_kernel_log_values(t: float, d, n: int, K: float, mode: HeatKernelMode):
             - rho * rho / (4.0 * tau)
         )
     else:
-        const = mode.C_upper if mode.kind == "dm_upper" else mode.c_lower
-        out = dm_h_log(tau, rho, n) + 0.5 * n * math.log(K) + math.log(const)
+        out = dm_h_log(tau, rho, n) + 0.5 * n * math.log(K) + math.log(mode.C)
     if np.isscalar(d):
         return float(out)
     return out

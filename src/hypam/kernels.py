@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, kve
 
-from .hyperbolic import HeatKernelMode, KernelBracket, _log_sinh
+from .hyperbolic import BracketMode, HeatKernelMode, KernelBracket, _log_sinh
 from .ledger import ConstantLedger
 from .specialfn import QuadratureError, dm_h_log, log_gamma_upper
 
@@ -208,7 +208,7 @@ def g_alpha_log_values(spec: NoiseSpec, d, mode: HeatKernelMode):
     :class:`~hypam.specialfn.QuadratureError`.  Diverges for d = 0 when
     alpha <= n/2.
     """
-    if mode.kind == "exact_n3":
+    if mode.bracket is BracketMode.EXACT:
         out = _log_g_exact_n3(spec, d)
     else:
         a, n, K = spec.alpha, spec.n, spec.K
@@ -223,8 +223,7 @@ def g_alpha_log_values(spec: NoiseSpec, d, mode: HeatKernelMode):
             logs[on_diag] = _log_time_transform(np.zeros(1), a, n, tail_slope=a - n / 2.0)[0]
         if not np.all(on_diag):
             logs[~on_diag] = _log_time_transform(z[~on_diag], a, n)
-        const = mode.C_upper if mode.kind == "dm_upper" else mode.c_lower
-        lead = math.log(const) + (n / 2.0 - a) * math.log(K) - math.lgamma(a)
+        lead = math.log(mode.C) + (n / 2.0 - a) * math.log(K) - math.lgamma(a)
         out = (lead + logs).reshape(d_arr.shape)
     if np.ndim(d) == 0:
         return float(out)
@@ -354,7 +353,9 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class KernelGrid:
-    """Radial kernel table with monotone cubic interpolation in log-value space.
+    """Radial kernel table with monotone cubic interpolation in log-value space,
+    of the n = 3 closed form (source EXACT) or the closed-form lower bound
+    (source LOWER); source is stored as a BracketMode.
 
     Distances below the floor are capped at the floor value (the kernel is
     decreasing, so the cap only lowers pairwise energies); distances beyond
@@ -364,25 +365,25 @@ class KernelGrid:
     def __init__(
         self,
         spec: NoiseSpec,
-        source: str = "exact",
+        source: BracketMode = BracketMode.EXACT,
         *,
         delta_floor: float,
         d_max: float,
         n_nodes: int = 400,
         ledger: ConstantLedger | None = None,
     ):
-        if source not in ("exact", "lower"):
+        if source not in (BracketMode.EXACT, BracketMode.LOWER):
             raise ValueError("source must be 'exact' or 'lower'")
         if not (delta_floor > 0.0 and d_max > delta_floor):
             raise ValueError("need 0 < delta_floor < d_max")
         if n_nodes < 2:
             raise ValueError("n_nodes must be at least 2")
         self.spec = spec
-        self.source = source
+        self.source = BracketMode(source)
         self.delta_floor = float(delta_floor)
         self.d_max = float(d_max)
         nodes = np.geomspace(delta_floor, d_max, n_nodes)
-        if source == "exact":
+        if self.source is BracketMode.EXACT:
             logv = _log_g_exact_n3(spec, nodes)
         else:
             logv = np.asarray(g_alpha_lower_log(spec, nodes, ledger))

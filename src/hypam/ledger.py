@@ -41,15 +41,13 @@ class ConstantLedger:
     def set(self, name: str, value: float, provenance: str = "user", note: str = "") -> None:
         if provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
-        if not value > 0.0:
-            raise ValueError("ledger constants must be positive")
+        if not 0.0 < value < float("inf"):
+            raise ValueError("ledger constants must be positive and finite")
         self._entries[name] = LedgerEntry(float(value), provenance, note)
 
-    def value(self, name: str, default: float | None = None, note: str = "") -> float:
+    def value(self, name: str) -> float:
         if name not in self._entries:
-            if default is None:
-                raise KeyError(f"no ledger entry named {name!r}")
-            self.set(name, default, "default", note)
+            raise KeyError(f"no ledger entry named {name!r}")
         return self._entries[name].value
 
     def entry(self, name: str) -> LedgerEntry:

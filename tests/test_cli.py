@@ -131,6 +131,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: model.n must be an integer, got 3.7\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["upper", "nope"])
+    def test_kernel_mode_other_than_exact_or_lower_returns_2(self, tmp_path, capsys, mode):
+        out = tmp_path / "m"
+        assert run("moment-mc", "--out", out, *FAST_MC, "--set", f"kernel.mode={mode}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'exact' or 'lower'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e999", "-1", "0"])
+    def test_constant_not_positive_and_finite_returns_2(self, tmp_path, capsys, value):
+        out = tmp_path / "p"
+        assert run("phase-diagram", "--out", out, "--set", f"constants.gbar_C={value}") == 2
+        assert capsys.readouterr().err == "error: ledger constants must be positive and finite\n"
+        assert not out.exists()
+
     def test_missing_config_file_returns_2(self, tmp_path):
         assert run("bounds", "--out", tmp_path, "--config", tmp_path / "nope.json") == 2
 
@@ -234,7 +250,7 @@ class TestMomentMc:
         assert run("moment-mc", "--out", out, *FAST_MC) == 0
         recs = jsonl_records(out / "estimates.jsonl", drop=())
         assert [r["kind"] for r in recs] == ["moment", "chaos_k1"]
-        assert all("wall_time_s" in r for r in recs)
+        assert all("wall_time_s" not in r for r in recs)
         assert recs[0]["n_paths"] == 1024
         assert recs[0]["bias"] == "LOWER"
         man = read_manifest(out)
