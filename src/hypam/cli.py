@@ -165,8 +165,17 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def _check_number(name: str, raw):
-    """raw itself if it is an int or a float; a boolean is not a number."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    """raw itself if it is an int or a float; a boolean is not a number, and
+    an int a double cannot hold is rejected rather than left to overflow."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        try:
+            float(raw)
+        except OverflowError:
+            raise ConfigError(
+                f"{name} must fit in a double, got an integer of {len(str(abs(raw)))} digits"
+            ) from None
+        return raw
+    if isinstance(raw, float):
         return raw
     raise ConfigError(f"{name} must be a number, got {raw!r}")
 
@@ -175,7 +184,7 @@ def _int_value(name: str, raw) -> int:
     """An integral number (3, 3.0 or 1e4) as an int; anything else, booleans
     included, is rejected rather than truncated."""
     if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
+        return _check_number(name, raw)
     if isinstance(raw, float) and raw.is_integer():
         return int(raw)
     raise ConfigError(f"{name} must be an integer, got {raw!r}")
@@ -183,7 +192,7 @@ def _int_value(name: str, raw) -> int:
 
 def _r_value(raw) -> float:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
+        return float(_check_number("moment.r", raw))
     if isinstance(raw, str) and raw.lower() in ("inf", "+inf", "infinity"):
         return math.inf
     raise ConfigError(f"moment.r must be a number or 'inf', got {raw!r}")
@@ -242,36 +251,86 @@ def _csv_rows(rows) -> str:
     return buf.getvalue()
 
 
-def _csv_body(rows: list) -> str:
+class Column:
+    """One per-row column, which tables may share: its values, and their CSV
+    cells, formatted on first use and kept."""
+
+    __slots__ = ("values", "_cells", "_plain")
+
+    def __init__(self, values):
+        self.values = list(values)
+        self._cells = None
+
+    def cells(self) -> tuple[list[str], bool]:
+        """Each value through ``_fmt`` (a column of floats in one ``%.17g``
+        template), and whether no cell holds a character csv quotes on."""
+        if self._cells is None:
+            values = self.values
+            kinds = set(map(type, values))
+            if kinds == {float}:
+                self._cells = ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+                self._plain = True
+            else:
+                # _fmt is str for every value that is not a float
+                fmt = _fmt if any(issubclass(k, float) for k in kinds) else str
+                self._cells = list(map(fmt, values))
+                self._plain = not _needs_quotes("".join(self._cells))
+        return self._cells, self._plain
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_block(columns: list, nrows: int) -> str:
     """The rows as ``_csv_rows`` writes them, formatted with one ``%`` template:
-    ``%.17g`` for a float column, ``%s`` otherwise, typed by the first row.  A
-    table whose rows do not all have those types, or with a value csv would
-    quote (one holding ``,`` ``"`` ``\\r`` ``\\n``, or a lone empty field), goes
-    through ``_csv_rows``."""
-    kinds = list(map(type, rows[0])) if rows else []
-    ncols = len(kinds)
-    flat = list(itertools.chain.from_iterable(rows))
-    if set(map(len, rows)) <= {ncols} and list(map(type, flat)) == kinds * len(rows):
-        template = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\r\n"
-        text = template * len(rows) % tuple(flat)
-        # the template's own separators and line ends are all there is
-        plain = (
-            text.count(",") == len(rows) * (ncols - 1)
-            and text.count("\r") == text.count("\n") == len(rows)
-            and '"' not in text
-            and not (ncols == 1 and "\r\n\r\n" in "\r\n" + text)
-        )
-        if plain:
-            return text
-    return _csv_rows(rows)
+    a plain value is formatted once into the template, and each column's cells
+    fill its ``%s`` slots.  A block holding a value csv would quote (one with
+    ``,`` ``"`` ``\\r`` ``\\n``, or a lone empty field) goes through ``_csv_rows``."""
+    fields, cells, plain = [], [], True
+    for col in columns:
+        if isinstance(col, Column):
+            col_cells, col_plain = col.cells()
+            fields.append("%s")
+            cells.append(col_cells)
+            plain = plain and col_plain
+        else:
+            text = _fmt(col)
+            fields.append(text.replace("%", "%%"))
+            plain = plain and not _needs_quotes(text)
+    if plain and not (len(columns) == 1 and "" in cells[0]):
+        template = ",".join(fields) + "\r\n"
+        return template * nrows % tuple(itertools.chain.from_iterable(zip(*cells)))
+    return _csv_rows(_rows(columns, nrows))
 
 
-def _table(stem: str, header: list[str], rows: list, fmt: str) -> tuple[str, str]:
-    """One tabular output as (file name, text): CSV, or JSON-lines keyed by the header."""
+def _rows(columns: list, nrows: int):
+    return zip(*(c.values if isinstance(c, Column) else itertools.repeat(c, nrows) for c in columns))
+
+
+def _table(stem: str, header: list[str], columns: list, fmt: str, *more: list) -> tuple[str, str]:
+    """One tabular output as (file name, text): CSV, or JSON-lines keyed by the
+    header.  ``columns`` holds one entry per header field: a list (or a
+    ``Column``) of one value per row, or a plain value that every row holds.
+    Each of ``more`` is a further block of rows given the same way, written
+    after it."""
+    blocks = []
+    for block in (columns, *more):
+        if len(block) != len(header):
+            raise ValueError(f"{stem}: {len(block)} columns for {len(header)} header fields")
+        block = [Column(c) if isinstance(c, (list, tuple)) else c for c in block]
+        lengths = {len(c.values) for c in block if isinstance(c, Column)}
+        if len(lengths) != 1:
+            raise ValueError(f"{stem}: needs per-row columns of one length, got {sorted(lengths)}")
+        blocks.append((block, lengths.pop()))
     if fmt == "jsonl":
-        lines = [json.dumps(dict(zip(header, row)), sort_keys=True) + "\n" for row in rows]
+        lines = [
+            json.dumps(dict(zip(header, row)), sort_keys=True) + "\n"
+            for block, nrows in blocks
+            for row in _rows(block, nrows)
+        ]
         return stem + ".jsonl", "".join(lines)
-    return stem + ".csv", _csv_rows([header]) + _csv_body(rows)
+    return stem + ".csv", _csv_rows([header]) + "".join(_csv_block(*b) for b in blocks)
 
 
 def _json(obj) -> str:
@@ -290,22 +349,23 @@ def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, d
     )
     header = ["d", "value", "mode", "alpha", "n", "K"]
     bracket = mode.bracket.value
-    ds = d_grid.tolist()
+    # one distance column, formatted once for all five blocks of rows
+    ds = Column(d_grid.tolist())
     values = np.exp(g_alpha_log_values(spec, d_grid, mode)).tolist()
-    rows = [[d, v, bracket, spec.alpha, n, K] for d, v in zip(ds, values)]
-    files = [_table("g_alpha", header, rows, args.format)]
+    files = [_table("g_alpha", header, [ds, values, bracket, spec.alpha, n, K], args.format)]
     # pin the lower-bound constant against the exact kernel on the emitted
     # grid, unless the user supplied one; the manifest ledger records which
     if n == 3 and ledger.entry("gbar_C").provenance == "default":
         calibrate_lower_constant(spec, ledger, d_grid=d_grid)
     lower_vals = g_alpha_lower(spec, d_grid, ledger).tolist()
-    rows = [[d, v, BracketMode.LOWER.value, spec.alpha, n, K] for d, v in zip(ds, lower_vals)]
-    files.append(_table("g_alpha_lower", header, rows, args.format))
-    rows = []
-    for t in (0.1, 1.0, 5.0):
-        values = np.exp(heat_kernel_log_values(t, d_grid, n, K, mode)).tolist()
-        rows += [[d, t, v, bracket, n, K] for d, v in zip(ds, values)]
-    files.append(_table("heat_kernel", ["d", "t", "value", "mode", "n", "K"], rows, args.format))
+    columns = [ds, lower_vals, BracketMode.LOWER.value, spec.alpha, n, K]
+    files.append(_table("g_alpha_lower", header, columns, args.format))
+    blocks = [
+        [ds, t, np.exp(heat_kernel_log_values(t, d_grid, n, K, mode)).tolist(), bracket, n, K]
+        for t in (0.1, 1.0, 5.0)
+    ]
+    header = ["d", "t", "value", "mode", "n", "K"]
+    files.append(_table("heat_kernel", header, blocks[0], args.format, *blocks[1:]))
     return 0, dict(files)
 
 
@@ -323,12 +383,15 @@ def cmd_bm_sample(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict
     # ensemble radial statistics at ten checkpoints
     checkpoints = np.linspace(t_end / 10.0, t_end, 10)
     ts, d_all, _ = radial_walk(x0, checkpoints, dt, n_paths, seed, int(mc["workers"]))
-    rows = [
-        [t, float(d.mean()), float(d.std(ddof=1)), float(d.mean() / t), (n - 1) * math.sqrt(K)]
-        for t, d in zip(ts, d_all)
+    columns = [
+        ts,
+        [float(d.mean()) for d in d_all],
+        [float(d.std(ddof=1)) for d in d_all],
+        [float(d.mean() / t) for t, d in zip(ts, d_all)],
+        (n - 1) * math.sqrt(K),
     ]
     header = ["t", "mean_distance", "std_distance", "mean_speed", "asymptotic_speed"]
-    files.append(_table("radial_stats", header, rows, args.format))
+    files.append(_table("radial_stats", header, columns, args.format))
     return 0, dict(files)
 
 
@@ -367,15 +430,12 @@ def cmd_bounds(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[st
     # one theta call: the couplings, then the ones upper_exponent feeds it
     ths, th_p = np.split(theta(np.concatenate((betas, np.sqrt(p - 1.0) * betas)), cfg), 2)
     ues = _exponent_from_theta(p, th_p, cfg)
-    rows = [
-        [b, p, r, th, ue, int(i)] for b, th, ue in zip(betas.tolist(), ths.tolist(), ues.tolist())
-    ]
+    columns = [betas.tolist(), p, r, ths.tolist(), ues.tolist(), int(i)]
     header = ["beta", "p", "r", "theta", "upper_exponent", "regime"]
-    files = [_table("bounds", header, rows, args.format)]
+    files = [_table("bounds", header, columns, args.format)]
     rho_grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
-    fs = f_profile(i, rho_grid, cfg).tolist()
-    rows = [[rho, f, int(i)] for rho, f in zip(rho_grid.tolist(), fs)]
-    files.append(_table("fprofile", ["rho", "f_value", "regime"], rows, args.format))
+    columns = [rho_grid.tolist(), f_profile(i, rho_grid, cfg).tolist(), int(i)]
+    files.append(_table("fprofile", ["rho", "f_value", "regime"], columns, args.format))
     return 0, dict(files)
 
 
@@ -387,19 +447,18 @@ def cmd_phase_diagram(args, config: dict, ledger: ConstantLedger) -> tuple[int, 
     # one row per (beta, p), beta-major, each solver called once on the whole grid
     orders = np.arange(2, 9)
     betas, ps = np.meshgrid(np.geomspace(0.1, 100.0, 13), orders, indexing="ij")
-    lows = lower_lyapunov(ps, betas, spec, ledger).ravel().tolist()
-    ups = upper_exponent(ps, betas, bcfg).ravel().tolist()
-    rows = [
-        [b, p, low, int(low > 0.0), up, int(up > 0.0)]
-        for b, p, low, up in zip(betas.ravel().tolist(), ps.ravel().tolist(), lows, ups)
-    ]
+    lows = lower_lyapunov(ps, betas, spec, ledger).ravel()
+    ups = upper_exponent(ps, betas, bcfg).ravel()
+    columns = [betas.ravel().tolist(), ps.ravel().tolist()]
+    for exps in (lows, ups):
+        columns += [exps.tolist(), (exps > 0.0).astype(int).tolist()]
     header = ["beta", "p", "lower_exponent", "lower_positive", "upper_exponent", "upper_positive"]
-    files = [_table("phase", header, rows, args.format)]
-    rows = list(zip(orders.tolist(), beta_critical(orders, spec, ledger).tolist()))
-    files.append(_table("beta_critical", ["p", "beta_c"], rows, args.format))
+    files = [_table("phase", header, columns, args.format)]
+    columns = [orders.tolist(), beta_critical(orders, spec, ledger).tolist()]
+    files.append(_table("beta_critical", ["p", "beta_c"], columns, args.format))
     betas = np.geomspace(0.5, 100.0, 9)
-    rows = list(zip(betas.tolist(), p_critical(betas, spec, ledger).tolist()))
-    files.append(_table("p_critical", ["beta", "p_c"], rows, args.format))
+    columns = [betas.tolist(), p_critical(betas, spec, ledger).tolist()]
+    files.append(_table("p_critical", ["beta", "p_c"], columns, args.format))
     return 0, dict(files)
 
 
@@ -413,8 +472,8 @@ def cmd_slope_check(args, config: dict, ledger: ConstantLedger) -> tuple[int, di
         grid = np.array([4, 6, 8, 12, 16, 24, 32], dtype=float)
         fixed = float(config["noise"]["beta"])
     report = asymptotic_slope_check(args.axis, grid, fixed, spec, ledger)
-    rows = list(zip(report.grid, report.exponents))
-    files = [_table("slope_check", [args.axis, "lower_exponent"], rows, args.format)]
+    columns = [report.grid, report.exponents]
+    files = [_table("slope_check", [args.axis, "lower_exponent"], columns, args.format)]
     summary = {
         "axis": report.axis,
         "case": report.case,
@@ -439,9 +498,9 @@ def cmd_intermittency(args, config: dict, ledger: ConstantLedger) -> tuple[int, 
     workers = int(config["mc"]["workers"])
     t_grid = [cfg.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
     series = intermittency_ratio(cfg.p, args.q, t_grid, cfg, workers=workers, ledger=ledger)
-    rows = [[pt.t, pt.ratio, pt.stderr, pt.log_ratio, pt.log_stderr] for pt in series]
     header = ["t", "ratio", "stderr", "log_ratio", "log_stderr"]
-    return 0, dict([_table("intermittency", header, rows, args.format)])
+    columns = [[getattr(pt, name) for pt in series] for name in header]
+    return 0, dict([_table("intermittency", header, columns, args.format)])
 
 
 def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:

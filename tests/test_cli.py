@@ -24,6 +24,9 @@ from hypam.cli import (
 )
 from hypam.specialfn import QuadratureError
 
+# an integer literal no double holds: float() of it overflows
+HUGE = "1" + "0" * 400
+
 
 def run(*args):
     return main([str(a) for a in args])
@@ -145,6 +148,22 @@ class TestExitCodes:
         out = tmp_path / "p"
         assert run("phase-diagram", "--out", out, "--set", f"constants.gbar_C={value}") == 2
         assert capsys.readouterr().err == "error: ledger constants must be positive and finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["model.K", "constants.chaos_C", "moment.r", "model.n"])
+    def test_integer_too_large_for_a_double_returns_2(self, tmp_path, capsys, key):
+        out = tmp_path / "b"
+        assert run("bounds", "--out", out, "--set", f"{key}={HUGE}") == 2
+        assert capsys.readouterr().err == f"error: {key} must fit in a double, got an integer of 401 digits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("model", "K"), ("constants", "chaos_C")])
+    def test_integer_too_large_for_a_double_in_a_file_returns_2(self, tmp_path, capsys, section, key):
+        path, out = tmp_path / "config.json", tmp_path / "b"
+        path.write_text(f'{{"{section}": {{"{key}": {HUGE}}}}}')
+        assert run("bounds", "--out", out, "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {section}.{key} must fit in a double, got an integer of 401 digits\n"
         assert not out.exists()
 
     def test_missing_config_file_returns_2(self, tmp_path):
