@@ -305,7 +305,10 @@ def _csv_block(columns: list, nrows: int) -> str:
 
 
 def _rows(columns: list, nrows: int):
-    return zip(*(c.values if isinstance(c, Column) else itertools.repeat(c, nrows) for c in columns))
+    """The block's rows as tuples, each plain value repeated in every row."""
+    return zip(
+        *(c.values if isinstance(c, Column) else itertools.repeat(c, nrows) for c in columns)
+    )
 
 
 def _table(stem: str, header: list[str], columns: list, fmt: str, *more: list) -> tuple[str, str]:

@@ -154,11 +154,14 @@ class TestExitCodes:
     def test_integer_too_large_for_a_double_returns_2(self, tmp_path, capsys, key):
         out = tmp_path / "b"
         assert run("bounds", "--out", out, "--set", f"{key}={HUGE}") == 2
-        assert capsys.readouterr().err == f"error: {key} must fit in a double, got an integer of 401 digits\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must fit in a double, got an integer of 401 digits\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("model", "K"), ("constants", "chaos_C")])
-    def test_integer_too_large_for_a_double_in_a_file_returns_2(self, tmp_path, capsys, section, key):
+    def test_integer_too_large_for_a_double_in_a_file_returns_2(
+        self, tmp_path, capsys, section, key
+    ):
         path, out = tmp_path / "config.json", tmp_path / "b"
         path.write_text(f'{{"{section}": {{"{key}": {HUGE}}}}}')
         assert run("bounds", "--out", out, "--config", path) == 2
