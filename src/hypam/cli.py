@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -74,67 +75,91 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# keys read as integers; load_config stores each as an int
-_INT_KEYS = (("model", "n"), ("moment", "p"), ("mc", "n_paths"), ("mc", "seed"), ("mc", "workers"))
-# keys read as numbers, kernel.delta_floor also as null; load_config checks
-# each and stores it unchanged, and every constants.* value as a float
-_NUMBER_KEYS = ("model.K", "noise.alpha", "noise.beta", "mc.t_end", "mc.dt", "u0.epsilon", "u0.R",
-                "kernel.delta_floor")
+# each key's kind, checked by load_config: "integer", "number", "number or
+# null", "number or inf", or the words it may be; every constants.* value is a number
+_KINDS = {
+    "model.n": "integer", "model.K": "number",
+    "noise.alpha": "number", "noise.beta": "number",
+    "moment.p": "integer", "moment.r": "number or inf",
+    "mc.t_end": "number", "mc.dt": "number", "mc.n_paths": "integer", "mc.seed": "integer",
+    "mc.workers": "integer",
+    "u0.kind": ("constant", "bump"), "u0.epsilon": "number", "u0.R": "number",
+    "kernel.mode": ("exact", "lower"), "kernel.delta_floor": "number or null",
+}
 
 
 class ConfigError(ValueError):
     """Configuration file, override or command line rejected; message carries diagnostics."""
 
 
-def _parse_scalar(text: str):
+class _LongInt:
+    """An integer literal no double holds, kept as its digit count; no key takes it."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        return f"<integer of {self.digits} digits>"
+
+
+def _parse_int(text: str):
+    """A JSON integer literal as an int, or as a ``_LongInt`` if no double
+    holds it (``int`` itself refuses more than 4300 digits)."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
+        value = int(text)
+        float(value)
+        return value
+    except (ValueError, OverflowError):
+        return _LongInt(len(text.lstrip("-")))
 
 
-def _merge_config(base: dict, incoming: dict, source: str) -> None:
-    for section, values in incoming.items():
-        if section not in base:
-            raise ConfigError(
-                f"{source}: unknown section {section!r}; valid sections: "
-                + ", ".join(sorted(base))
-            )
-        if not isinstance(values, dict):
-            raise ConfigError(f"{source}: section {section!r} must be a table")
-        if section == "constants":
-            base["constants"].update(values)
-            continue
-        for key, v in values.items():
-            if key not in base[section]:
-                raise ConfigError(
-                    f"{source}: unknown key {section}.{key}; valid keys: "
-                    + ", ".join(f"{section}.{k}" for k in sorted(base[section]))
-                )
-            base[section][key] = v
+_parse = functools.partial(json.loads, parse_int=_parse_int)
 
 
-def _apply_override(config: dict, item: str) -> None:
-    key, sep, raw = item.partition("=")
-    if not sep:
-        raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
-    section, sep2, name = key.partition(".")
-    if not sep2:
-        raise ConfigError(f"--set key must be dotted (section.key), got {key!r}")
-    value = _parse_scalar(raw)
-    if section == "constants":
-        config["constants"][name] = value
-        return
-    if section not in config or name not in config[section]:
-        valid = [f"{s}.{k}" for s in config if s != "constants" for k in config[s]]
+def _insert(config: dict, source: str, section: str, values) -> None:
+    """The one way a value reaches the tree: ``values`` (a table of keys) into
+    ``section``, from ``source`` (the config file, or ``--set``)."""
+    if section not in config:
         raise ConfigError(
-            f"--set: unknown key {key!r}; valid keys: " + ", ".join(sorted(valid)) + ", constants.*"
+            f"{source}: unknown section {section!r}; valid sections: " + ", ".join(sorted(config))
         )
-    config[section][name] = value
+    if not isinstance(values, dict):
+        raise ConfigError(f"{source}: section {section!r} must be a table")
+    for key in values:
+        if section != "constants" and key not in config[section]:
+            raise ConfigError(
+                f"{source}: unknown key {section}.{key}; valid keys: "
+                + ", ".join(f"{section}.{k}" for k in sorted(config[section]))
+            )
+    config[section].update(values)
+
+
+def _checked(key: str, kind, v):
+    """v as load_config stores it under key: an integer key's value as an int,
+    any other accepted value unchanged; anything else raises ``ConfigError``."""
+    if isinstance(v, _LongInt):
+        raise ConfigError(f"{key} must fit in a double, got an integer of {v.digits} digits")
+    if isinstance(kind, tuple):
+        if v in kind:
+            return v
+        raise ConfigError(f"{key} must be " + " or ".join(map(repr, kind)) + f", got {v!r}")
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if kind == "integer":
+        if number and float(v).is_integer():
+            return int(v)
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    if number or (kind == "number or null" and v is None):
+        return v
+    if kind == "number or inf":
+        if isinstance(v, str) and v.lower() in ("inf", "+inf", "infinity"):
+            return v
+        raise ConfigError(f"{key} must be a number or 'inf', got {v!r}")
+    raise ConfigError(f"{key} must be a number, got {v!r}")
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
-    """Default tree, file (if given), then --set overrides, strictly keyed."""
+    """Default tree, file (if given), then --set overrides, strictly keyed;
+    every key is then checked against its kind."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -142,74 +167,46 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            incoming = json.loads(text)
+            incoming = _parse(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
         if not isinstance(incoming, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        _merge_config(config, incoming, path)
+        for section, values in incoming.items():
+            _insert(config, path, section, values)
     for item in overrides:
-        _apply_override(config, item)
-    for section, key in _INT_KEYS:
-        config[section][key] = _int_value(f"{section}.{key}", config[section][key])
-    for key in _NUMBER_KEYS:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
+        section, sep, name = key.partition(".")
+        if not sep:
+            raise ConfigError(f"--set key must be dotted (section.key), got {key!r}")
+        try:
+            value = _parse(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _insert(config, "--set", section, {name: value})
+    for key, kind in _KINDS.items():
         section, name = key.split(".")
-        if not (name == "delta_floor" and config[section][name] is None):
-            _check_number(key, config[section][name])
+        config[section][name] = _checked(key, kind, config[section][name])
     consts = config["constants"]
     for name, value in consts.items():
-        consts[name] = float(_check_number(f"constants.{name}", value))
+        consts[name] = float(_checked(f"constants.{name}", "number", value))
     return config
-
-
-def _check_number(name: str, raw):
-    """raw itself if it is an int or a float; a boolean is not a number, and
-    an int a double cannot hold is rejected rather than left to overflow."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        try:
-            float(raw)
-        except OverflowError:
-            raise ConfigError(
-                f"{name} must fit in a double, got an integer of {len(str(abs(raw)))} digits"
-            ) from None
-        return raw
-    if isinstance(raw, float):
-        return raw
-    raise ConfigError(f"{name} must be a number, got {raw!r}")
-
-
-def _int_value(name: str, raw) -> int:
-    """An integral number (3, 3.0 or 1e4) as an int; anything else, booleans
-    included, is rejected rather than truncated."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return _check_number(name, raw)
-    if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
-    raise ConfigError(f"{name} must be an integer, got {raw!r}")
-
-
-def _r_value(raw) -> float:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(_check_number("moment.r", raw))
-    if isinstance(raw, str) and raw.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    raise ConfigError(f"moment.r must be a number or 'inf', got {raw!r}")
 
 
 def build_spec(config: dict) -> NoiseSpec:
     m, w = config["model"], config["noise"]
-    return NoiseSpec(alpha=float(w["alpha"]), beta=float(w["beta"]), n=int(m["n"]), K=float(m["K"]))
+    return NoiseSpec(alpha=float(w["alpha"]), beta=float(w["beta"]), n=m["n"], K=float(m["K"]))
 
 
 def build_u0(config: dict) -> RadialProfile:
     u = config["u0"]
     if u["kind"] == "constant":
         return RadialProfile.constant(float(u["epsilon"]))
-    if u["kind"] == "bump":
-        return RadialProfile.bump(float(u["epsilon"]), float(u["R"]))
-    raise ConfigError(f"u0.kind must be 'constant' or 'bump', got {u['kind']!r}")
+    return RadialProfile.bump(float(u["epsilon"]), float(u["R"]))
 
 
 def build_fk(config: dict) -> FkConfig:
@@ -217,20 +214,25 @@ def build_fk(config: dict) -> FkConfig:
     floor = kern["delta_floor"]
     return FkConfig(
         spec=build_spec(config),
-        p=int(config["moment"]["p"]),
+        p=config["moment"]["p"],
         t_end=float(mc["t_end"]),
         dt=float(mc["dt"]),
-        n_paths=int(mc["n_paths"]),
-        seed=int(mc["seed"]),
+        n_paths=mc["n_paths"],
+        seed=mc["seed"],
         u0=build_u0(config),
         kernel_mode=kern["mode"],
         delta_floor=None if floor is None else float(floor),
     )
 
 
+def build_bounds(config: dict, ledger: ConstantLedger) -> BoundConfig:
+    r = config["moment"]["r"]
+    r = math.inf if isinstance(r, str) else float(r)
+    return BoundConfig(build_spec(config), r=r, C_chaos=ledger.value("chaos_C"))
+
+
 def _require_dalang(config: dict) -> None:
-    alpha = float(config["noise"]["alpha"])
-    n = int(config["model"]["n"])
+    alpha, n = float(config["noise"]["alpha"]), config["model"]["n"]
     if not dalang_check(alpha, n):
         raise ConfigError(
             f"noise.alpha = {alpha} violates the integrability condition: "
@@ -373,10 +375,9 @@ def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, d
 
 
 def cmd_bm_sample(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
-    n, K = int(config["model"]["n"]), float(config["model"]["K"])
+    n, K = config["model"]["n"], float(config["model"]["K"])
     mc = config["mc"]
-    t_end, dt, seed = float(mc["t_end"]), float(mc["dt"]), int(mc["seed"])
-    n_paths = int(mc["n_paths"])
+    t_end, dt, seed, n_paths = float(mc["t_end"]), float(mc["dt"]), mc["seed"], mc["n_paths"]
     x0 = ModelPoint.basepoint(n, K)
     files = []
     for k in range(min(3, n_paths)):
@@ -385,7 +386,7 @@ def cmd_bm_sample(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict
         files.append((f"path_{k}.csv", buf.getvalue()))
     # ensemble radial statistics at ten checkpoints
     checkpoints = np.linspace(t_end / 10.0, t_end, 10)
-    ts, d_all, _ = radial_walk(x0, checkpoints, dt, n_paths, seed, int(mc["workers"]))
+    ts, d_all, _ = radial_walk(x0, checkpoints, dt, n_paths, seed, mc["workers"])
     columns = [
         ts,
         [float(d.mean()) for d in d_all],
@@ -399,22 +400,13 @@ def cmd_bm_sample(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict
 
 
 def _estimate_record(kind: str, config: dict, est) -> dict:
-    return {
-        "kind": kind,
-        "config": config,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "log_mean": est.log_mean,
-        "bias": est.bias,
-        "n_paths": est.n_paths,
-    }
+    return {"kind": kind, "config": config, **dataclasses.asdict(est)}
 
 
 def cmd_moment_mc(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
     cfg = build_fk(config)
-    workers = int(config["mc"]["workers"])
-    est, chaos = moment_and_chaos(cfg, workers=workers, ledger=ledger)
+    est, chaos = moment_and_chaos(cfg, workers=config["mc"]["workers"], ledger=ledger)
     records = [_estimate_record("moment", config, est)]
     if cfg.kernel_mode is BracketMode.EXACT:
         records.append(_estimate_record("chaos_k1", config, chaos))
@@ -424,16 +416,13 @@ def cmd_moment_mc(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict
 
 def cmd_bounds(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    spec = build_spec(config)
-    r = _r_value(config["moment"]["r"])
-    cfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
-    p = int(config["moment"]["p"])
-    i = cfg.regime
+    cfg = build_bounds(config, ledger)
+    spec, p, i = cfg.spec, config["moment"]["p"], cfg.regime
     betas = np.array(sorted(set(np.geomspace(0.05, 20.0, 25)) | {spec.beta}))
     # one theta call: the couplings, then the ones upper_exponent feeds it
     ths, th_p = np.split(theta(np.concatenate((betas, np.sqrt(p - 1.0) * betas)), cfg), 2)
     ues = _exponent_from_theta(p, th_p, cfg)
-    columns = [betas.tolist(), p, r, ths.tolist(), ues.tolist(), int(i)]
+    columns = [betas.tolist(), p, cfg.r, ths.tolist(), ues.tolist(), int(i)]
     header = ["beta", "p", "r", "theta", "upper_exponent", "regime"]
     files = [_table("bounds", header, columns, args.format)]
     rho_grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 61)))
@@ -444,9 +433,8 @@ def cmd_bounds(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[st
 
 def cmd_phase_diagram(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     _require_dalang(config)
-    spec = build_spec(config)
-    r = _r_value(config["moment"]["r"])
-    bcfg = BoundConfig(spec, r=r, C_chaos=ledger.value("chaos_C"))
+    bcfg = build_bounds(config, ledger)
+    spec = bcfg.spec
     # one row per (beta, p), beta-major, each solver called once on the whole grid
     orders = np.arange(2, 9)
     betas, ps = np.meshgrid(np.geomspace(0.1, 100.0, 13), orders, indexing="ij")
@@ -470,10 +458,10 @@ def cmd_slope_check(args, config: dict, ledger: ConstantLedger) -> tuple[int, di
     spec = build_spec(config)
     if args.axis == "beta":
         grid = np.geomspace(1e2, 1e4, 9)
-        fixed = int(config["moment"]["p"])
+        fixed = config["moment"]["p"]
     else:
         grid = np.array([4, 6, 8, 12, 16, 24, 32], dtype=float)
-        fixed = float(config["noise"]["beta"])
+        fixed = spec.beta
     report = asymptotic_slope_check(args.axis, grid, fixed, spec, ledger)
     columns = [report.grid, report.exponents]
     files = [_table("slope_check", [args.axis, "lower_exponent"], columns, args.format)]
@@ -498,7 +486,7 @@ def cmd_intermittency(args, config: dict, ledger: ConstantLedger) -> tuple[int, 
             f"intermittency needs moment.p above --q = {args.q}, got moment.p = {cfg.p}; "
             f"pass --set moment.p={args.q + 1}"
         )
-    workers = int(config["mc"]["workers"])
+    workers = config["mc"]["workers"]
     t_grid = [cfg.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
     series = intermittency_ratio(cfg.p, args.q, t_grid, cfg, workers=workers, ledger=ledger)
     header = ["t", "ratio", "stderr", "log_ratio", "log_stderr"]
@@ -537,7 +525,7 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
     # one-step mean squared displacement = 2 n dt
     if not quick:
         n_rep, dt = 20000, 0.01
-        rng = stream_generator(int(config["mc"]["seed"]), 7)
+        rng = stream_generator(config["mc"]["seed"], 7)
         X = np.broadcast_to(ModelPoint.basepoint(3, K).coords, (n_rep, 4)).copy()
         X = brownian_step(X, rng, dt, K)
         d2 = distance_coords(X, ModelPoint.basepoint(3, K).coords, K) ** 2
@@ -581,7 +569,7 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
         t_end=0.2,
         dt=0.05,
         n_paths=256,
-        seed=int(config["mc"]["seed"]),
+        seed=config["mc"]["seed"],
         u0=RadialProfile.constant(1.0),
     )
     est = moment_estimate(cfg)
@@ -599,7 +587,7 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
         t_end=0.2,
         dt=0.02,
         n_paths=2 * BLOCK_SIZE + 37,
-        seed=int(config["mc"]["seed"]),
+        seed=config["mc"]["seed"],
         u0=RadialProfile.constant(1.0),
     )
     e1, e2, e3 = (moment_estimate(cfg2, workers=w) for w in (1, 2, 3))
@@ -695,11 +683,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        config = load_config(args.config, args.set)
-        if args.seed is not None:
-            config["mc"]["seed"] = int(args.seed)
-        if args.workers is not None:
-            config["mc"]["workers"] = int(args.workers)
+        # --seed and --workers are two more overrides, applied last
+        flags = {"mc.seed": args.seed, "mc.workers": args.workers}
+        overrides = [*args.set, *(f"{k}={v}" for k, v in flags.items() if v is not None)]
+        config = load_config(args.config, overrides)
         out = Path(args.out or f"hypam-{args.subcommand}")
         if out.exists() and not out.is_dir():
             raise FileExistsError(f"output path {str(out)!r} exists and is not a directory")
@@ -718,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
             "tool_version": __version__,
             "subcommand": args.subcommand,
             "config": config,
-            "master_seed": int(config["mc"]["seed"]),
+            "master_seed": config["mc"]["seed"],
             "constant_ledger": ledger.as_dict(),
             "outputs": digests,
             "wall_time_s": time.perf_counter() - t0,

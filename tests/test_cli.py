@@ -26,6 +26,8 @@ from hypam.specialfn import QuadratureError
 
 # an integer literal no double holds: float() of it overflows
 HUGE = "1" + "0" * 400
+# one int() itself refuses: it passes the 4300-digit limit
+LONG = "1" + "0" * 5000
 
 
 def run(*args):
@@ -54,6 +56,10 @@ class TestLoadConfig:
         assert config == DEFAULT_CONFIG
         config["model"]["n"] = 5
         assert DEFAULT_CONFIG["model"]["n"] == 3
+
+    def test_every_key_has_a_kind(self):
+        keys = {f"{section}.{key}" for section, values in DEFAULT_CONFIG.items() for key in values}
+        assert set(hypam.cli._KINDS) == keys
 
     def test_file_merge(self, tmp_path):
         p = tmp_path / "c.json"
@@ -167,6 +173,49 @@ class TestExitCodes:
         assert run("bounds", "--out", out, "--config", path) == 2
         err = capsys.readouterr().err
         assert err == f"error: {section}.{key} must fit in a double, got an integer of 401 digits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["model.K", "constants.chaos_C"])
+    def test_integer_past_the_digit_limit_returns_2(self, tmp_path, capsys, key):
+        out = tmp_path / "b"
+        assert run("bounds", "--out", out, "--set", f"{key}={LONG}") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must fit in a double, got an integer of 5001 digits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("model", "K"), ("constants", "chaos_C")])
+    def test_integer_past_the_digit_limit_in_a_file_returns_2(self, tmp_path, capsys, section, key):
+        path, out = tmp_path / "config.json", tmp_path / "b"
+        path.write_text(f'{{"{section}": {{"{key}": -{LONG}}}}}')
+        assert run("bounds", "--out", out, "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {section}.{key} must fit in a double, got an integer of 5001 digits\n"
+        assert not out.exists()
+
+    # every key is checked at load, including keys the subcommand never reads
+    @pytest.mark.parametrize("subcommand", ["bounds", "kernel-table", "bm-sample"])
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("kernel.mode=nope", "kernel.mode must be 'exact' or 'lower', got 'nope'"),
+            ("u0.kind=xyz", "u0.kind must be 'constant' or 'bump', got 'xyz'"),
+            ("moment.r=abc", "moment.r must be a number or 'inf', got 'abc'"),
+        ],
+        ids=["kernel.mode", "u0.kind", "moment.r"],
+    )
+    def test_every_key_is_checked_whatever_the_subcommand(
+        self, tmp_path, capsys, subcommand, item, message
+    ):
+        out = tmp_path / "o"
+        assert run(subcommand, "--out", out, "--set", item) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, key", [("--seed", "mc.seed"), ("--workers", "mc.workers")])
+    def test_seed_and_workers_take_the_same_checks(self, tmp_path, capsys, flag, key):
+        out = tmp_path / "o"
+        assert run("bm-sample", "--out", out, flag, HUGE) == 2
+        assert capsys.readouterr().err == f"error: {key} must fit in a double, got an integer of 401 digits\n"
         assert not out.exists()
 
     def test_missing_config_file_returns_2(self, tmp_path):

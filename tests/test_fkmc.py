@@ -3,10 +3,12 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyperu
 
 from hypam import (
     ConstantLedger,
@@ -211,6 +213,52 @@ class TestChaosEstimate:
         early = chaos_k1(t=0.15)
         late = chaos_k1(t=0.3)
         assert late.mean > early.mean
+
+
+def chaos_mean_exact(alpha, t, K=1.0):
+    """E[S](t) for n = 3, S = 2 * int_0^t G_a(d_s) ds the ordered-pair
+    integral of two independent paths from one point, a = 2 alpha: at K = 1
+
+        (4 pi)^(-3/2) / Gamma(a+1) * [Gamma(a - 1/2)
+            - e^(-2t) Gamma(a+1) (2t)^(a - 1/2) U(a+1, a+1/2, 2t)],
+
+    U Tricomi's function, and E[S_K](t) = K^(n/2 - a - 1) E[S_1](K t)."""
+    a, x = 2.0 * alpha, 2.0 * K * t
+    tail = math.exp(-x) * math.gamma(a + 1.0) * x ** (a - 0.5) * float(hyperu(a + 1.0, a + 0.5, x))
+    bracket = math.gamma(a - 0.5) - tail
+    return K ** (0.5 - a) * (4.0 * math.pi) ** -1.5 / math.gamma(a + 1.0) * bracket
+
+
+class TestChaosMeanExact:
+    """The first exact value for the engine at beta > 0: two paths lie at the
+    distance of one path at time 2s, so E[S](t) is one time integral of the
+    on-diagonal heat kernel p_tau(o, o) = (4 pi tau)^(-3/2) e^(-K tau)."""
+
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_closed_form_matches_the_defining_integral(self, alpha, t, K):
+        a = mpmath.mpf(2 * alpha)
+        with mpmath.workdps(30):
+
+            def integrand(tau):
+                p_oo = (4 * mpmath.pi * tau) ** -1.5 * mpmath.exp(-K * tau)
+                return p_oo * (tau**a - (max(tau - 2 * t, 0) ** a))
+
+            oracle = mpmath.quad(integrand, [0, 2 * t, 2 * t + 10, mpmath.inf]) / mpmath.gamma(a + 1)
+        assert chaos_mean_exact(alpha, t, K) == pytest.approx(float(oracle), rel=1e-12)
+
+    def test_engine_converges_to_it_as_dt_halves(self):
+        """n = 3, alpha = 1, exact kernel, t = 1: the trapezoid and floor bias
+        is several stderr at dt = 0.02 and shrinks at each halving."""
+        exact = chaos_mean_exact(1.0, 1.0)
+        errors = []
+        for dt in (0.02, 0.01, 0.005):
+            run = cfg(t_end=1.0, dt=dt, n_paths=32768, seed=11, kernel_mode="exact")
+            est = moment_and_chaos(run, workers=2)[1]
+            errors.append((est.mean - exact) / est.stderr)
+        assert abs(errors[-1]) < 3.0
+        assert abs(errors[0]) > abs(errors[1]) > abs(errors[2])
 
 
 class TestIntermittencyRatio:
