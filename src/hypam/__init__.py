@@ -50,6 +50,7 @@ from .kernels import (
     NoiseSpec,
     calibrate_lower_constant,
     dalang_check,
+    first_chaos_mean,
     g_alpha,
     g_alpha_log_values,
     g_alpha_lower,
@@ -69,10 +70,8 @@ from .specialfn import (
     QuadratureSpec,
     dm_h_log,
     gamma_lower,
-    gamma_upper,
     integrate,
     log_gamma_upper,
-    neg_ei,
 )
 
 __version__ = "0.1.0"
@@ -109,12 +108,12 @@ __all__ = [
     "distance_coords",
     "dm_h_log",
     "f_profile",
+    "first_chaos_mean",
     "g_alpha",
     "g_alpha_log_values",
     "g_alpha_lower",
     "g_alpha_lower_log",
     "gamma_lower",
-    "gamma_upper",
     "integrate",
     "intermittency_ratio",
     "log_gamma_upper",
@@ -123,7 +122,6 @@ __all__ = [
     "moment_and_chaos",
     "moment_estimate",
     "moment_series",
-    "neg_ei",
     "p_critical",
     "q_sup",
     "regime_of",

@@ -122,6 +122,11 @@ def minkowski_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] - _dot(a[..., 1:], b[..., 1:])
 
 
+def _check_scale(K: float) -> None:
+    if not (math.isfinite(K) and K > 0.0):
+        raise ValueError("curvature scale K must be positive")
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     """A point on the curvature -K hyperboloid sheet in R^(n+1)."""
@@ -135,8 +140,7 @@ class ModelPoint:
         object.__setattr__(self, "coords", coords)
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise ValueError("dimension n must be an integer >= 2")
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise ValueError("curvature scale K must be positive")
+        _check_scale(self.K)
         if coords.shape != (self.n + 1,):
             raise ValueError(f"coords must have shape ({self.n + 1},)")
         if not coords[0] > 0.0:
@@ -149,6 +153,7 @@ class ModelPoint:
 
     @classmethod
     def basepoint(cls, n: int, K: float) -> "ModelPoint":
+        _check_scale(K)  # before the division by sqrt(K)
         coords = np.zeros(n + 1)
         coords[0] = 1.0 / math.sqrt(K)
         return cls(coords, n, K)

@@ -21,15 +21,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, kve
+from scipy.special import gammaln, hyperu, kve
 
-from .hyperbolic import BracketMode, HeatKernelMode, KernelBracket, _log_sinh
+from .hyperbolic import BracketMode, HeatKernelMode, KernelBracket, _check_scale, _log_sinh
 from .ledger import ConstantLedger
 from .specialfn import QuadratureError, dm_h_log, log_gamma_upper
 
 __all__ = [
     "NoiseSpec",
     "dalang_check",
+    "first_chaos_mean",
     "g_alpha",
     "g_alpha_log_values",
     "g_alpha_lower",
@@ -68,8 +69,7 @@ class NoiseSpec:
             raise ValueError("beta must be nonnegative")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise ValueError("dimension n must be an integer >= 2")
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise ValueError("curvature scale K must be positive")
+        _check_scale(self.K)
 
     @property
     def dalang_ok(self) -> bool:
@@ -119,6 +119,31 @@ def _log_g_exact_n3(spec: NoiseSpec, d) -> np.ndarray:
     if np.any(on_diag):
         out = np.where(on_diag, lead + gammaln(nu), out)
     return out
+
+
+def first_chaos_mean(spec: NoiseSpec, t: float) -> float:
+    """E[S](t), the exact mean of the first-order chaos coefficient that
+    :func:`~hypam.fkmc.moment_and_chaos` estimates with the exact n = 3 kernel;
+    spec is the noise spec, a = 2 alpha.  Two independent paths lie at the
+    distance of one path at time 2s, so by the semigroup property
+
+        E[S](t) = (1/Gamma(a+1)) int_0^inf p_tau(o, o) [tau^a - (tau - 2t)_+^a] dtau,
+
+    finite exactly when alpha > (n-2)/4.  At K = 1, p_tau(o, o) = (4 pi tau)^(-3/2)
+    e^(-tau) makes it (4 pi)^(-3/2) [Gamma(a - 1/2)/Gamma(a+1) - e^(-2t) (2t)^(a - 1/2)
+    U(a+1, a+1/2, 2t)], U Tricomi's function, whose x^(a - 1/2) U(a+1, a+1/2, x) is
+    U(3/2, 3/2 - a, x) (DLMF 13.2.40); other K scale as K^(1/2 - a) E[S_1](K t).
+    """
+    if spec.n != 3:
+        raise ValueError("the first-chaos mean is only available for n = 3")
+    if not spec.dalang_ok:
+        raise ValueError("the first-chaos mean diverges for alpha <= (n-2)/4")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t must be positive")
+    a, x = 2.0 * spec.alpha, 2.0 * spec.K * t
+    tail = math.exp(-x) * hyperu(1.5, 1.5 - a, x)
+    bracket = math.exp(gammaln(a - 0.5) - gammaln(a + 1.0)) - tail
+    return float(spec.K ** (0.5 - a) * (4.0 * math.pi) ** -1.5 * bracket)
 
 
 def _log_integrand(u: np.ndarray, z: np.ndarray, a: float, n: int) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Incomplete gamma integrals, exponential integral, and the shared quadrature engine.
+"""Incomplete gamma integrals and the shared quadrature engine.
 
-The incomplete gammas and the exponential integral wrap scipy.special; their
-log tail switches to a continued fraction where the value underflows.  The
-adaptive :func:`integrate` serves the heat-kernel mass check of ``validate``.
-The kernel transforms of the comparison modes (every n != 3)
-integrate :func:`dm_h_log` with a vectorized log-time trapezoid rule in
-:mod:`hypam.kernels` instead, under the same 1e-10 relative tolerance.
+:func:`gamma_lower` wraps scipy.special; :func:`log_gamma_upper` is the log
+of the upper tail (s = 0 is the exponential integral E_1), from
+scipy.special where the value is representable and a continued fraction
+where it underflows.  The adaptive :func:`integrate` serves the heat-kernel
+mass check of ``validate``.  The kernel transforms of the comparison modes
+(every n != 3) integrate :func:`dm_h_log` with a vectorized log-time
+trapezoid rule in :mod:`hypam.kernels` instead, under the same 1e-10
+relative tolerance.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ __all__ = [
     "DEFAULT_QUAD",
     "integrate",
     "gamma_lower",
-    "gamma_upper",
     "log_gamma_upper",
-    "neg_ei",
     "dm_h_log",
 ]
 
@@ -121,28 +121,6 @@ def gamma_lower(s: float, x):
         raise ValueError("gamma_lower requires finite x >= 0")
     out = _sp.gammainc(s, x_arr) * _sp.gamma(s)
     return float(out) if out.ndim == 0 else out
-
-
-def gamma_upper(s: float, x: float) -> float:
-    """Integral of t**(s-1) e**(-t) over [x, inf); requires s >= 0, x > 0.
-
-    s = 0 routes to :func:`neg_ei`.
-    """
-    _check_order(s)
-    if not s >= 0.0:
-        raise ValueError("gamma_upper requires s >= 0")
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError("gamma_upper requires finite x > 0")
-    if s == 0.0:
-        return neg_ei(x)
-    return float(_sp.gammaincc(s, x) * _sp.gamma(s))
-
-
-def neg_ei(x: float) -> float:
-    """Integral of e**(-t)/t over [x, inf) for x > 0 (equals -Ei(-x))."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError("neg_ei requires finite x > 0")
-    return float(_sp.exp1(x))
 
 
 # Below this value the scipy tail is close enough to the subnormal range that

@@ -12,7 +12,17 @@ import pytest
 
 import hypam.cli
 import hypam.renewal
-from hypam import BoundConfig, FkConfig, NoiseSpec, RadialProfile, f_profile, fkmc, moment_and_chaos, theta
+from hypam import (
+    BoundConfig,
+    FkConfig,
+    NoiseSpec,
+    RadialProfile,
+    f_profile,
+    first_chaos_mean,
+    fkmc,
+    moment_and_chaos,
+    theta,
+)
 from hypam.cli import (
     _COMMANDS,
     DEFAULT_CONFIG,
@@ -122,6 +132,13 @@ class TestExitCodes:
         code = run("moment-mc", "--out", tmp_path, "--set", "noise.alpha=0.1")
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K", ["0", "-1"])
+    def test_bm_sample_nonpositive_curvature_returns_2(self, tmp_path, capsys, K):
+        out = tmp_path / "o"
+        assert run("bm-sample", "--out", out, "--set", f"model.K={K}") == 2
+        assert capsys.readouterr().err == "error: curvature scale K must be positive\n"
+        assert not out.exists()
 
     def test_empty_ensemble_returns_2(self, tmp_path, capsys):
         assert run("bm-sample", "--out", tmp_path, "--set", "mc.n_paths=0") == 2
@@ -371,6 +388,18 @@ class TestMomentMc:
         got = (rec["mean"], rec["stderr"], rec["log_mean"], rec["bias"], rec["n_paths"])
         assert got == (est.mean, est.stderr, est.log_mean, est.bias, est.n_paths)
 
+    def test_chaos_record_carries_the_exact_mean(self, tmp_path):
+        out = tmp_path / "m"
+        assert run("moment-mc", "--out", out, *FAST_MC) == 0
+        rec = jsonl_records(out / "estimates.jsonl")[1]
+        exact = first_chaos_mean(NoiseSpec(alpha=1.0, beta=0.5, n=3, K=1.0), 0.2)
+        assert rec["exact_mean"] == exact
+        assert rec["exact_z"] == (rec["mean"] - exact) / rec["stderr"]
+        # one path has no stderr, so no z
+        assert run("moment-mc", "--out", out, *FAST_MC, "--set", "mc.n_paths=1") == 0
+        rec = jsonl_records(out / "estimates.jsonl")[1]
+        assert rec["stderr"] == 0.0 and rec["exact_z"] is None
+
     def test_p3_records_do_not_depend_on_workers(self, tmp_path):
         argv = (*FAST_MC, "--set", "moment.p=3", "--set", "mc.n_paths=2085")  # 2 blocks + 37
         a, b = tmp_path / "w1", tmp_path / "w2"
@@ -547,8 +576,15 @@ class TestValidate:
     def test_quick_passes(self, tmp_path, capsys):
         assert run("validate", "--out", tmp_path / "v", "--quick") == 0
         out = capsys.readouterr().out
-        assert "gamma-additivity" in out
+        assert "heat-kernel-mass" in out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_full_run_passes_every_check(self, tmp_path, capsys):
+        assert run("validate", "--out", tmp_path / "v") == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line.split()[0] for line in lines]
+        assert {"one-step-msd", "fk-chaos-exact"} <= set(names)
+        assert all(line.split()[1] == "PASS" for line in lines), lines
 
 
 class TestOutputProtocol:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import hyperu
 
 from hypam import (
     ConstantLedger,
@@ -20,6 +19,7 @@ from hypam import (
     beta_critical,
     calibrate_lower_constant,
     dirichlet_eigenvalue_upper,
+    first_chaos_mean,
     intermittency_ratio,
     lower_lyapunov,
     moment_and_chaos,
@@ -215,29 +215,15 @@ class TestChaosEstimate:
         assert late.mean > early.mean
 
 
-def chaos_mean_exact(alpha, t, K=1.0):
-    """E[S](t) for n = 3, S = 2 * int_0^t G_a(d_s) ds the ordered-pair
-    integral of two independent paths from one point, a = 2 alpha: at K = 1
-
-        (4 pi)^(-3/2) / Gamma(a+1) * [Gamma(a - 1/2)
-            - e^(-2t) Gamma(a+1) (2t)^(a - 1/2) U(a+1, a+1/2, 2t)],
-
-    U Tricomi's function, and E[S_K](t) = K^(n/2 - a - 1) E[S_1](K t)."""
-    a, x = 2.0 * alpha, 2.0 * K * t
-    tail = math.exp(-x) * math.gamma(a + 1.0) * x ** (a - 0.5) * float(hyperu(a + 1.0, a + 0.5, x))
-    bracket = math.gamma(a - 0.5) - tail
-    return K ** (0.5 - a) * (4.0 * math.pi) ** -1.5 / math.gamma(a + 1.0) * bracket
-
-
 class TestChaosMeanExact:
     """The first exact value for the engine at beta > 0: two paths lie at the
     distance of one path at time 2s, so E[S](t) is one time integral of the
     on-diagonal heat kernel p_tau(o, o) = (4 pi tau)^(-3/2) e^(-K tau)."""
 
-    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("t", [0.1, 1.0])
-    @pytest.mark.parametrize("alpha", [1.0, 1.5])
-    def test_closed_form_matches_the_defining_integral(self, alpha, t, K):
+    @staticmethod
+    def oracle(alpha, t, K=1.0):
+        """The defining integral in mpmath; tau = u^10 on [0, 2t] smooths the
+        tau^(2 alpha - 3/2) endpoint, which near alpha = 1/4 defeats plain quad."""
         a = mpmath.mpf(2 * alpha)
         with mpmath.workdps(30):
 
@@ -245,13 +231,39 @@ class TestChaosMeanExact:
                 p_oo = (4 * mpmath.pi * tau) ** -1.5 * mpmath.exp(-K * tau)
                 return p_oo * (tau**a - (max(tau - 2 * t, 0) ** a))
 
-            oracle = mpmath.quad(integrand, [0, 2 * t, 2 * t + 10, mpmath.inf]) / mpmath.gamma(a + 1)
-        assert chaos_mean_exact(alpha, t, K) == pytest.approx(float(oracle), rel=1e-12)
+            head = mpmath.quad(lambda u: integrand(u**10) * 10 * u**9, [0, (2 * t) ** 0.1])
+            tail = mpmath.quad(integrand, [2 * t, 2 * t + 10, mpmath.inf])
+            return float((head + tail) / mpmath.gamma(a + 1))
+
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0])
+    def test_closed_form_matches_the_defining_integral(self, alpha, t, K):
+        exact = first_chaos_mean(replace(SPEC, alpha=alpha, K=K), t)
+        assert exact == pytest.approx(self.oracle(alpha, t, K), rel=1e-12)
+
+    def test_diverges_at_the_integrability_threshold(self):
+        """alpha -> 1/4 is a = 2 alpha -> 1/2, where Gamma(a - 1/2) blows up:
+        (a - 1/2) E[S] tends to (4 pi)^(-3/2) / Gamma(3/2)."""
+        near = first_chaos_mean(replace(SPEC, alpha=0.3), 1.0)
+        assert near == pytest.approx(self.oracle(0.3, 1.0), rel=1e-12)
+        alphas = [0.3, 0.26, 0.251, 0.2501, 0.25 + 1e-6]
+        values = [first_chaos_mean(replace(SPEC, alpha=a), 1.0) for a in alphas]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        limit = (4 * math.pi) ** -1.5 / math.gamma(1.5)
+        assert (2 * alphas[-1] - 0.5) * values[-1] == pytest.approx(limit, rel=1e-5)
+        for alpha in (0.25, 0.2):
+            with pytest.raises(ValueError, match="diverges"):
+                first_chaos_mean(replace(SPEC, alpha=alpha), 1.0)
+        with pytest.raises(ValueError, match="n = 3"):
+            first_chaos_mean(replace(SPEC, n=5), 1.0)
+        with pytest.raises(ValueError, match="t must be positive"):
+            first_chaos_mean(SPEC, 0.0)
 
     def test_engine_converges_to_it_as_dt_halves(self):
         """n = 3, alpha = 1, exact kernel, t = 1: the trapezoid and floor bias
         is several stderr at dt = 0.02 and shrinks at each halving."""
-        exact = chaos_mean_exact(1.0, 1.0)
+        exact = first_chaos_mean(SPEC, 1.0)
         errors = []
         for dt in (0.02, 0.01, 0.005):
             run = cfg(t_end=1.0, dt=dt, n_paths=32768, seed=11, kernel_mode="exact")
