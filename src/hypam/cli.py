@@ -213,7 +213,13 @@ def build_u0(config: dict) -> RadialProfile:
 def build_fk(config: dict) -> FkConfig:
     mc, kern = config["mc"], config["kernel"]
     floor = kern["delta_floor"]
-    return FkConfig(
+    exact, n = kern["mode"] == "exact", config["model"]["n"]
+    if exact and n != 3:
+        raise ConfigError(
+            f"kernel.mode = 'exact' needs model.n = 3, got model.n = {n}; "
+            "pass --set kernel.mode=lower"
+        )
+    cfg = FkConfig(
         spec=build_spec(config),
         p=config["moment"]["p"],
         t_end=float(mc["t_end"]),
@@ -224,6 +230,16 @@ def build_fk(config: dict) -> FkConfig:
         kernel_mode=kern["mode"],
         delta_floor=None if floor is None else float(floor),
     )
+    if exact:
+        # the pair table's largest value: the order-2 alpha kernel at the floor
+        spec2 = dataclasses.replace(cfg.spec, alpha=2.0 * cfg.spec.alpha)
+        if not math.isfinite(g_alpha_log_values(spec2, cfg.floor, HeatKernelMode.exact_n3())):
+            raise ConfigError(
+                f"noise.alpha = {config['noise']['alpha']} is too large for the exact kernel table: "
+                f"G_(2 alpha) overflows at its floor distance {cfg.floor:.6g}; "
+                "lower noise.alpha or raise kernel.delta_floor"
+            )
+    return cfg
 
 
 def build_bounds(config: dict, ledger: ConstantLedger) -> BoundConfig:
@@ -478,7 +494,14 @@ def cmd_slope_check(args, config: dict, ledger: ConstantLedger) -> tuple[int, di
         "passed": report.passed,
     }
     files.append(("slope_report.json", _json(summary)))
-    return 1 if report.passed is False else 0, dict(files)
+    if report.passed is False:
+        if report.axis == "beta":
+            miss = f"fitted slope {report.fitted_slope:.4g} is outside the claimed 2 +/- 0.1"
+        else:
+            miss = f"ratio spread {report.ratio_spread:.4g} is above the claimed 0.1"
+        print(f"slope-check failed: {miss} (case {report.case}); see slope_report.json", file=sys.stderr)
+        return 1, dict(files)
+    return 0, dict(files)
 
 
 def cmd_intermittency(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:

@@ -501,11 +501,13 @@ class QSupResult:
     value: float | np.ndarray
 
 
-def _r_search_grid(spec: NoiseSpec, r_max: float | None, n_grid: int) -> np.ndarray:
+_R_GRID = 600  # radius nodes of the lower-bound solvers' log-spaced table
+
+
+def _r_search_grid(spec: NoiseSpec, n_grid: int) -> np.ndarray:
+    """The solvers' radius table: n_grid log-spaced radii over [1e-6, 1e3]/sqrt(K)."""
     sk = math.sqrt(spec.K)
-    hi = 1e3 / sk if r_max is None or math.isinf(r_max) else float(r_max)
-    lo = min(1e-6 / sk, hi / 10.0)
-    return np.geomspace(lo, hi, n_grid)
+    return np.geomspace(1e-6 / sk, 1e3 / sk, n_grid)
 
 
 def _q_parts(p, spec, ledger, r):
@@ -533,8 +535,7 @@ def q_sup(
     beta,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
-    r_max: float = math.inf,
-    n_grid: int = 600,
+    n_grid: int = _R_GRID,
 ) -> QSupResult:
     """Supremum of Q over the ball radius: a log-spaced scan, then a zoom on the
     bracket between the best node's neighbours.  Each level evaluates Q as one
@@ -550,7 +551,7 @@ def q_sup(
     p, beta = np.broadcast_arrays(_moment_orders(p), np.asarray(beta, dtype=float))
     shape, p, beta = p.shape, p.ravel(), beta.ravel()
     bb = beta * beta
-    r_grid = _r_search_grid(spec, r_max, n_grid)
+    r_grid = _r_search_grid(spec, n_grid)
     q, lam = _q_parts(p, spec, ledger, r_grid)
     q *= bb[:, None]
     q -= lam
@@ -587,17 +588,11 @@ def q_sup(
     )
 
 
-def lower_lyapunov(
-    p,
-    beta,
-    spec: NoiseSpec,
-    ledger: ConstantLedger | None = None,
-    r_max: float = math.inf,
-):
+def lower_lyapunov(p, beta, spec: NoiseSpec, ledger: ConstantLedger | None = None):
     """Lower bound on the p-th moment Lyapunov exponent:
     p * max(sup_r Q(r), -(n-1)^2 K / 4).  p and beta broadcast as in
     :func:`q_sup`, through one q_sup call; scalars give a float."""
-    res = q_sup(p, beta, spec, ledger, r_max)
+    res = q_sup(p, beta, spec, ledger)
     floor = -((spec.n - 1) ** 2) * spec.K / 4.0
     return _float_or_array(_moment_orders(p) * np.maximum(res.value, floor))
 
@@ -614,35 +609,25 @@ def _critical_ratio(gain: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return ratio.min(axis=-1)
 
 
-def beta_critical(
-    p,
-    spec: NoiseSpec,
-    ledger: ConstantLedger | None = None,
-    r_max: float = math.inf,
-):
+def beta_critical(p, spec: NoiseSpec, ledger: ConstantLedger | None = None):
     """Smallest coupling with a strictly positive lower Lyapunov exponent on
-    the 600-point radius grid: beta_c^2 = min_r lam(r) / ((p-1) Gbar(r)).
+    the _R_GRID-point radius table: beta_c^2 = min_r lam(r) / ((p-1) Gbar(r)).
     Accepts a scalar or an array of p, all on one radius table; a scalar
     gives a float."""
     p = _moment_orders(p)
-    gain, lam = _q_parts(p, spec, ledger, _r_search_grid(spec, r_max, 600))
+    gain, lam = _q_parts(p, spec, ledger, _r_search_grid(spec, _R_GRID))
     return _float_or_array(np.sqrt(_critical_ratio(gain, lam)))
 
 
-def p_critical(
-    beta,
-    spec: NoiseSpec,
-    ledger: ConstantLedger | None = None,
-    r_max: float = math.inf,
-):
+def p_critical(beta, spec: NoiseSpec, ledger: ConstantLedger | None = None):
     """Smallest integer moment order with a strictly positive lower Lyapunov
-    exponent on the 600-point radius grid at the given coupling: the first p
+    exponent on the _R_GRID-point radius table at the given coupling: the first p
     with p - 1 > min_r lam(r) / (beta^2 Gbar(r)).  Accepts a scalar or an
     array of beta, all on one radius table; a scalar gives an int."""
     b = np.asarray(beta, dtype=float)
     if not np.all(b > 0.0):
         raise ValueError("beta must be positive")
-    gbar, lam = _q_parts(2, spec, ledger, _r_search_grid(spec, r_max, 600))
+    gbar, lam = _q_parts(2, spec, ledger, _r_search_grid(spec, _R_GRID))
     with np.errstate(over="ignore"):
         m = (_critical_ratio(gbar, lam) / b / b).ravel()
     if not np.all(m < 2.0**62):
@@ -693,7 +678,6 @@ def asymptotic_slope_check(
     p_or_beta,
     spec: NoiseSpec,
     ledger: ConstantLedger | None = None,
-    r_max: float = math.inf,
 ) -> SlopeReport:
     """Growth-rate audit of the lower bound along the coupling or the moment
     order.
@@ -714,9 +698,14 @@ def asymptotic_slope_check(
     a, n = spec.alpha, spec.n
     claimed = 2.0 if flat else None
     if axis == "beta":
-        exps = lower_lyapunov(int(p_or_beta), grid, spec, ledger, r_max)
+        exps = lower_lyapunov(int(p_or_beta), grid, spec, ledger)
         if np.any(exps <= 0.0):
-            raise ValueError("exponent not positive on the whole grid; raise the couplings")
+            # p_critical falls with beta, so the smallest coupling needs the largest order
+            need = p_critical(grid.min(), spec, ledger)
+            raise ValueError(
+                "exponent not positive on the whole grid; raise p to "
+                f"p_critical = {need} at beta = {grid.min():.4g}"
+            )
         fitted = float(np.polyfit(np.log(grid), np.log(exps), 1)[0])
         # the small-r balance rate in case A; in case C it is the claimed 2
         balance = 4.0 / (4.0 * a - n + 2.0) if regime is Regime.POWER else claimed
@@ -725,10 +714,10 @@ def asymptotic_slope_check(
     elif axis == "p":
         beta = float(p_or_beta)
         ps = [int(round(v)) for v in grid]
-        exps = lower_lyapunov(np.array(ps), beta, spec, ledger, r_max)
+        exps = lower_lyapunov(np.array(ps), beta, spec, ledger)
         if np.any(exps <= 0.0):
             # beta_critical falls with p, so the smallest order needs the most
-            need = beta_critical(min(ps), spec, ledger, r_max)
+            need = beta_critical(min(ps), spec, ledger)
             raise ValueError(
                 "exponent not positive on the whole grid; raise beta above "
                 f"beta_critical = {need:.4g} at p = {min(ps)}"

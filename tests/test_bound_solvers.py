@@ -36,12 +36,11 @@ def q_lower(r, p, beta, spec):
     return beta * beta * (p - 1) * gbar - dirichlet_eigenvalue_upper(float(r), spec.n, spec.K)
 
 
-def reference_sup(p, beta, spec, r_max=math.inf):
+def reference_sup(p, beta, spec):
     """Maximum of Q on a 2e5-point log grid over q_sup's search range, refined
     by a bounded scalar search in log r between the best node's neighbours."""
     sk = math.sqrt(spec.K)
-    hi = 1e3 / sk if math.isinf(r_max) else r_max
-    y = np.linspace(math.log(min(1e-6 / sk, hi / 10.0)), math.log(hi), 200_001)
+    y = np.linspace(math.log(1e-6 / sk), math.log(1e3 / sk), 200_001)
     r = np.exp(y)
     q = beta * beta * (p - 1) * g_alpha_lower(replace(spec, alpha=2.0 * spec.alpha), r)
     q = q - dirichlet_eigenvalue_upper(r, spec.n, spec.K)
@@ -61,7 +60,7 @@ def reference_sup(p, beta, spec, r_max=math.inf):
 def grid_predicate(spec, p, beta):
     """The strict criticality test on the 600-point grid: max_r Q(r) > 0,
     rounded as p_critical rounds it."""
-    gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, math.inf, 600))
+    gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, 600))
     return bool(np.max(beta * beta * (p - 1) * gbar - lam) > 0.0)
 
 
@@ -85,14 +84,8 @@ class TestQSup:
         assert res.r_star == pytest.approx(1e3, rel=1e-12)
         assert res.value == pytest.approx(v_ref, rel=1e-12)
 
-    def test_r_max(self):
-        r_ref, v_ref = reference_sup(2, 3.0, SPEC, r_max=0.5)
-        res = q_sup(2, 3.0, SPEC, r_max=0.5)
-        assert res.r_star <= 0.5 * (1.0 + 1e-12)
-        assert res.value == pytest.approx(v_ref, rel=1e-12)
-
     def test_never_below_grid_maximum(self):
-        gain, lam = _q_parts(2, SPEC, None, _r_search_grid(SPEC, math.inf, 600))
+        gain, lam = _q_parts(2, SPEC, None, _r_search_grid(SPEC, 600))
         for beta in (0.1, 1.0, 3.0, 30.0):
             assert q_sup(2, beta, SPEC).value >= np.max(beta * beta * gain - lam)
 
@@ -123,7 +116,7 @@ class TestCriticalClosedForms:
     @pytest.mark.parametrize("n, alpha", [(3, 1.0), (4, 0.8), (5, 2.0)])
     def test_p_critical_at_ties(self, n, alpha):
         spec = NoiseSpec(alpha, 0.5, n, 1.0)
-        gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, math.inf, 600))
+        gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, 600))
         ok = gbar > 0.0
         with np.errstate(over="ignore"):
             m = float(np.min(lam[ok] / gbar[ok]))
@@ -143,7 +136,6 @@ class TestCriticalClosedForms:
             warnings.simplefilter("error")
             beta_critical(3, spec)
             p_critical(2.0, spec)
-            p_critical(80.0, spec, r_max=0.5)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -273,10 +265,10 @@ class TestArraySolvers:
 
     def test_broadcast_and_r_max(self):
         betas = np.array([[0.5, 3.0], [20.0, 200.0]])
-        res = q_sup(3, betas, SPEC, r_max=0.5)
+        res = q_sup(3, betas, SPEC)
         assert res.value.shape == (2, 2)
         for idx in np.ndindex(betas.shape):
-            one = q_sup(3, float(betas[idx]), SPEC, r_max=0.5)
+            one = q_sup(3, float(betas[idx]), SPEC)
             assert same_bits(res.value[idx], one.value)
             assert same_bits(res.r_star[idx], one.r_star)
 
@@ -286,7 +278,7 @@ class TestArraySolvers:
         ps = np.arange(2, 9)
         bcs = beta_critical(ps, spec)
         assert same_bits(bcs, [beta_critical(int(p), spec) for p in ps])
-        gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, math.inf, 600))
+        gbar, lam = _q_parts(2, spec, None, _r_search_grid(spec, 600))
         ok = gbar > 0.0
         with np.errstate(over="ignore"):
             m = float(np.min(lam[ok] / gbar[ok]))
@@ -309,7 +301,6 @@ class TestArraySolvers:
                 lower_lyapunov(2, np.array([0.0, 1e-3, 1e3]), spec)
                 beta_critical(np.arange(2, 9), spec)
                 p_critical(np.geomspace(0.5, 100.0, 9), spec)
-                p_critical(np.array([80.0, 2.0]), spec, r_max=0.5)
 
     def test_array_errors(self):
         with pytest.raises(ValueError):

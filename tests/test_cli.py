@@ -166,6 +166,33 @@ class TestExitCodes:
         assert "'exact' or 'lower'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["moment-mc", "intermittency"])
+    def test_exact_kernel_off_n3_names_its_keys(self, tmp_path, capsys, subcommand):
+        # kernel.mode defaults to 'exact', which only n = 3 has
+        out = tmp_path / "o"
+        argv = (subcommand, "--out", out, *FAST_MC, "--set", "moment.p=3", "--set", "model.n=4")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: kernel.mode = 'exact' needs model.n = 3, got model.n = 4; "
+            "pass --set kernel.mode=lower\n"
+        )
+        assert not out.exists()
+        assert run(*argv, "--set", "kernel.mode=lower") == 0
+
+    @pytest.mark.parametrize("subcommand", ["moment-mc", "intermittency"])
+    def test_alpha_too_large_for_the_exact_table_returns_2(self, tmp_path, capsys, subcommand):
+        # the order-2 alpha kernel holds kve(2 alpha - 3/2, rho), which overflows
+        # at the table's floor rho = 1e-3 from alpha = 34 on
+        out = tmp_path / "o"
+        argv = (subcommand, "--out", out, *FAST_MC, "--set", "moment.p=3", "--set", "noise.alpha=40")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: noise.alpha = 40 is too large for the exact kernel table: G_(2 alpha) "
+            "overflows at its floor distance 0.001; lower noise.alpha or raise kernel.delta_floor\n"
+        )
+        assert not out.exists()
+        assert run(*argv, "--set", "kernel.delta_floor=0.01") == 0
+
     @pytest.mark.parametrize("value", ["1e999", "-1", "0"])
     def test_constant_not_positive_and_finite_returns_2(self, tmp_path, capsys, value):
         out = tmp_path / "p"
@@ -508,6 +535,36 @@ class TestSlopeCheck:
         assert rep["passed"] is True
         assert abs(rep["fitted_slope"] - 2.0) <= 0.1
 
+    @pytest.mark.parametrize(
+        "argv, miss",
+        [
+            # n = 4, alpha = 1.5 is case C, and the fit over beta in [1e2, 1e4] misses 2
+            (("--set", "model.n=4", "--set", "noise.alpha=1.5"),
+             "fitted slope 2.124 is outside the claimed 2 +/- 0.1"),
+            # near beta_critical the exponent/(p(p-1)) ratios have not settled
+            (("--axis", "p", "--set", "noise.beta=10"), "ratio spread 2.048 is above the claimed 0.1"),
+        ],
+        ids=["beta", "p"],
+    )
+    def test_failed_check_prints_one_line(self, tmp_path, capsys, argv, miss):
+        out = tmp_path / "s"
+        assert run("slope-check", "--out", out, *argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"slope-check failed: {miss} (case C); see slope_report.json\n"
+        with open(out / "slope_report.json") as f:
+            assert json.load(f)["passed"] is False
+
+    def test_beta_axis_below_critical_names_the_order_it_needs(self, tmp_path, capsys):
+        # at n = 5, alpha = 1.25 and p = 2 the lower exponent is negative at beta = 100
+        out = tmp_path / "s"
+        argv = ("slope-check", "--out", out, "--set", "model.n=5", "--set", "noise.alpha=1.25")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: exponent not positive on the whole grid; raise p to p_critical = 4 at beta = 100\n"
+        )
+        assert not out.exists()
+        assert run(*argv, "--set", "moment.p=4") == 0
+
     def test_p_axis_passes_at_large_coupling(self, tmp_path):
         out = tmp_path / "sp"
         assert run("slope-check", "--out", out, "--axis", "p", "--set", "noise.beta=300") == 0
@@ -524,6 +581,36 @@ class TestSlopeCheck:
         assert "raise beta above beta_critical = 5.898 at p = 4" in err
         assert not out.exists()
         assert run("slope-check", "--out", out, "--axis", "p", "--set", "noise.beta=5.9") != 2
+
+
+# the ten (n, alpha) of the bound_scans benchmark workload
+BOUND_SCAN_CONFIGS = [
+    (3, 0.6), (3, 0.75), (3, 1.0), (3, 1.5), (4, 0.8),
+    (4, 1.0), (4, 1.5), (5, 1.0), (5, 1.25), (5, 2.0),
+]
+
+
+class TestDefaultRuns:
+    @pytest.mark.parametrize("n, alpha", BOUND_SCAN_CONFIGS)
+    def test_every_run_writes_or_says_why(self, tmp_path, capsys, n, alpha):
+        # exit 0 writes non-empty files; exit 1 writes them and says what
+        # failed in one line; exit 2 writes nothing and names a key or the fix
+        for sub in ("kernel-table", "bm-sample", "moment-mc", "bounds", "phase-diagram",
+                    "slope-check", "intermittency"):
+            out = tmp_path / sub
+            code = run(sub, "--out", out, "--set", f"model.n={n}", "--set", f"noise.alpha={alpha}")
+            err = capsys.readouterr().err
+            where = f"{sub} at n = {n}, alpha = {alpha}: exit {code}, stderr {err!r}"
+            if code in (0, 1):
+                outputs = read_manifest(out)["outputs"]
+                assert outputs, where
+                assert all((out / o["path"]).stat().st_size > 0 for o in outputs), where
+                assert err.count("\n") == code and not err.startswith("error: "), where
+            else:
+                assert code == 2, where
+                assert err.startswith("error: ") and err.count("\n") == 1, where
+                assert any(key in err for key in hypam.cli._KINDS) or "raise" in err, where
+                assert not out.exists(), where
 
 
 class TestIntermittency:

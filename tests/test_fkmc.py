@@ -352,11 +352,6 @@ class TestLowerBoundProfile:
         fine = q_sup(2, 3.0, SPEC, n_grid=1200)
         assert coarse.value == pytest.approx(fine.value, rel=1e-6)
 
-    def test_sup_respects_r_max(self):
-        res = q_sup(2, 3.0, SPEC, r_max=0.5)
-        assert res.r_star <= 0.5
-        assert res.value <= q_sup(2, 3.0, SPEC).value + 1e-12
-
 
 class TestLyapunovAndCriticality:
     def test_zero_coupling_floor(self):
