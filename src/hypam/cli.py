@@ -373,7 +373,14 @@ def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, d
     bracket = mode.bracket.value
     # one distance column, formatted once for all five blocks of rows
     ds = Column(d_grid.tolist())
-    values = np.exp(g_alpha_log_values(spec, d_grid, mode)).tolist()
+    with np.errstate(over="ignore"):
+        values = np.exp(g_alpha_log_values(spec, d_grid, mode))
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"the kernel table at noise.alpha = {config['noise']['alpha']}, model.K = {K} "
+            f"overflows at distance {d_grid[~np.isfinite(values)][0]:.6g}"
+        )
+    values = values.tolist()
     files = [_table("g_alpha", header, [ds, values, bracket, spec.alpha, n, K], args.format)]
     # pin the lower-bound constant against the exact kernel on the emitted
     # grid, unless the user supplied one; the manifest ledger records which
@@ -613,7 +620,6 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
 
 
 def cmd_validate(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
-    _require_dalang(config)
     checks = _validate_checks(config, args.quick)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True

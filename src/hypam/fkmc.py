@@ -209,10 +209,7 @@ def _run_blocks(cfg: FkConfig, sizes, cp_steps, grid, workers: int):
     """Simulate all blocks, in groups of consecutive blocks (in parallel if
     asked), and concatenate in block order."""
     results = run_blocks(
-        cfg.n_paths,
-        workers,
-        lambda b, size: _simulate_block(cfg, b, size, sizes, cp_steps, grid),
-        grouped=True,
+        cfg.n_paths, workers, lambda b, size: _simulate_block(cfg, b, size, sizes, cp_steps, grid)
     )
     lu = np.concatenate([r[0] for r in results], axis=1)
     sp = np.concatenate([r[1] for r in results], axis=1)

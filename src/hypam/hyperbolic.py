@@ -280,20 +280,18 @@ def time_grid(checkpoints, dt: float):
 _GROUP_CAP = 4
 
 
-def run_blocks(n_paths: int, workers: int, block: Callable, grouped: bool = False) -> list:
-    """block(b, size) for every block of the n_paths paths (the last one
-    ragged), on `workers` threads; the results come back in block order.
-
-    With grouped, block(b, size) is called once per group of consecutive
-    blocks instead: b is the group's first block and size its path count.
-    The blocks are split into groups of ceil(blocks / workers), at most
-    _GROUP_CAP, so each thread steps its blocks as one array."""
+def run_blocks(n_paths: int, workers: int, block: Callable) -> list:
+    """block(b, size) once per group of consecutive blocks of the n_paths
+    paths (the last block ragged), on `workers` threads: b is the group's
+    first block and size its path count.  The results come back in block
+    order.  The blocks are split into groups of ceil(blocks / workers), at
+    most _GROUP_CAP, so each thread steps its blocks as one array."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     n_blocks = -(-n_paths // BLOCK_SIZE)
-    per = min(-(-n_blocks // workers), _GROUP_CAP) if grouped else 1
+    per = min(-(-n_blocks // workers), _GROUP_CAP)
     firsts = range(0, n_blocks, per)
     counts = [min(per * BLOCK_SIZE, n_paths - b * BLOCK_SIZE) for b in firsts]
     if workers > 1 and len(firsts) > 1:
@@ -334,7 +332,7 @@ def radial_walk(x0: ModelPoint, checkpoints, dt: float, n_paths: int, seed: int,
                 out[:, c] = d, d_max
         return out
 
-    d, d_max = np.concatenate(run_blocks(n_paths, workers, block, grouped=True), axis=2)
+    d, d_max = np.concatenate(run_blocks(n_paths, workers, block), axis=2)
     return ts, d, d_max
 
 

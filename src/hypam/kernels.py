@@ -304,6 +304,16 @@ def g_alpha_lower(spec: NoiseSpec, z, ledger: ConstantLedger | None = None):
     return np.exp(lg)
 
 
+def _require_finite(spec: NoiseSpec, d: np.ndarray, log_values: np.ndarray) -> None:
+    """Refuse a kernel table with a value a double does not hold."""
+    bad = ~np.isfinite(log_values)
+    if bad.any():
+        raise ValueError(
+            f"the kernel of order alpha = {spec.alpha} is not finite at distance "
+            f"{d[bad.argmax()]:.6g}"
+        )
+
+
 def calibrate_lower_constant(
     spec: NoiseSpec,
     ledger: ConstantLedger,
@@ -323,9 +333,17 @@ def calibrate_lower_constant(
         grid = np.geomspace(1e-3 / sk, 10.0 / sk, 40)
     else:
         grid = np.asarray(d_grid, dtype=float)
-    log_ratios = _log_g_exact_n3(spec, grid) - g_alpha_lower_log(spec, grid, ledger=None)
+    log_exact = _log_g_exact_n3(spec, grid)
+    _require_finite(spec, grid, log_exact)
+    log_ratios = log_exact - g_alpha_lower_log(spec, grid, ledger=None)
     j = int(np.argmin(log_ratios))
-    C = math.exp(log_ratios[j]) * (1.0 - 1e-12)
+    try:
+        C = math.exp(log_ratios[j]) * (1.0 - 1e-12)
+    except OverflowError:
+        raise ValueError(
+            f"the lower-bound constant at alpha = {spec.alpha}, K = {spec.K} overflows: "
+            f"its log is {log_ratios[j]:.6g}"
+        ) from None
     ledger.set(
         "gbar_C",
         C,
@@ -367,7 +385,9 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # masked by flat
+        # divide and invalid are masked by flat; a subnormal slope overflows its
+        # reciprocal, and the infinite mean gives the node slope 0, as in scipy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         dk = np.zeros_like(y)
         dk[1:-1][~flat] = 1.0 / whmean[~flat]
@@ -375,6 +395,9 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
     t = (dk[:-1] + dk[1:] - 2 * m) / h
     return np.stack((t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]))
+
+
+_GRID_NODES = 400  # log-spaced table nodes between the floor and d_max
 
 
 class KernelGrid:
@@ -394,28 +417,26 @@ class KernelGrid:
         *,
         delta_floor: float,
         d_max: float,
-        n_nodes: int = 400,
         ledger: ConstantLedger | None = None,
     ):
         if source not in (BracketMode.EXACT, BracketMode.LOWER):
             raise ValueError("source must be 'exact' or 'lower'")
         if not (delta_floor > 0.0 and d_max > delta_floor):
             raise ValueError("need 0 < delta_floor < d_max")
-        if n_nodes < 2:
-            raise ValueError("n_nodes must be at least 2")
         self.spec = spec
         self.source = BracketMode(source)
         self.delta_floor = float(delta_floor)
         self.d_max = float(d_max)
-        nodes = np.geomspace(delta_floor, d_max, n_nodes)
+        nodes = np.geomspace(delta_floor, d_max, _GRID_NODES)
         if self.source is BracketMode.EXACT:
             logv = _log_g_exact_n3(spec, nodes)
         else:
             logv = np.asarray(g_alpha_lower_log(spec, nodes, ledger))
+        _require_finite(spec, nodes, logv)
         self._nodes = nodes
         # the nodes are log-spaced, so a key's interval is computed, not searched
         self._log_lo = math.log(nodes[0])
-        self._inv_h = (n_nodes - 1) / (math.log(nodes[-1]) - self._log_lo)
+        self._inv_h = (_GRID_NODES - 1) / (math.log(nodes[-1]) - self._log_lo)
         # the cubic coefficients per interval, highest power first
         self._coef = _pchip_coefficients(nodes, logv)
         # np.exp, as in the lookup: math.exp can differ from it in the last bit

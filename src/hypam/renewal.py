@@ -158,9 +158,10 @@ def f_profile(i: Regime, rho, cfg: BoundConfig):
 
 _LADDER = np.ldexp(1.0, np.arange(-1022, 200))  # 2^-1022, ..., 2^199: the bracket's rungs
 _ONE = 1022  # the index of the rung 1
+_THETA_RTOL = 1e-8  # bisection stops once a bracket is this narrow relative to its top
 
 
-def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
+def theta(beta, cfg: BoundConfig):
     """Moment growth rate: the unique rho with F_i(rho) = 1/(C_chaos beta^2),
     or 0 when no crossing exists (small beta, and beta = 0, whose level is +inf).
 
@@ -204,7 +205,7 @@ def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
     hi[small] = 2.0 * lo[small]
     todo = np.arange(crossing.size)  # targets still in the loop
     for _ in range(200):
-        todo = todo[~(hi[todo] - lo[todo] <= tol * hi[todo])]
+        todo = todo[~(hi[todo] - lo[todo] <= _THETA_RTOL * hi[todo])]
         if todo.size == 0:
             break
         l, h, t = lo[todo], hi[todo], target[todo]
@@ -216,7 +217,7 @@ def theta(beta, cfg: BoundConfig, tol: float = 1e-8):
         l, h = np.where(above, mid, l), np.where(above, h, mid)
         # the second halving, on the brackets the first one left open: its
         # midpoint is the quarter point on the side the first one kept
-        still_open = ~(h - l <= tol * h)
+        still_open = ~(h - l <= _THETA_RTOL * h)
         mid = 0.5 * (l + h)
         above = np.where(above, f_high, f_low) > t
         l, h = np.where(still_open & above, mid, l), np.where(still_open & ~above, mid, h)

@@ -25,7 +25,6 @@ __all__ = [
     "EULER_GAMMA",
     "QuadratureSpec",
     "QuadratureError",
-    "DEFAULT_QUAD",
     "integrate",
     "gamma_lower",
     "log_gamma_upper",
@@ -37,18 +36,13 @@ __all__ = [
 class QuadratureSpec:
     """Error contract for the adaptive quadrature engine."""
 
-    relative_tolerance: float = 1e-10
-    absolute_tolerance: float = 1e-14
-    max_subdivisions: int = 200
+    relative_tolerance: float
+    absolute_tolerance: float
 
     def __post_init__(self) -> None:
         if not (self.relative_tolerance > 0.0) or not (self.absolute_tolerance > 0.0):
             raise ValueError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
-
-DEFAULT_QUAD = QuadratureSpec()
 
 class QuadratureError(RuntimeError):
     """The engine could not meet the requested tolerances."""
@@ -58,7 +52,7 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec,
     split_points: Sequence[float] = (),
 ) -> float:
     """Adaptive quadrature of ``f`` over ``(a, b)``; endpoints may be infinite.
@@ -71,7 +65,6 @@ def integrate(
     # process, and only validate's mass check gets here
     from scipy import integrate as _scipy_integrate
 
-    quad = quad or DEFAULT_QUAD
     if not a < b:
         if a == b:
             return 0.0
@@ -87,7 +80,7 @@ def integrate(
             hi,
             epsabs=quad.absolute_tolerance,
             epsrel=quad.relative_tolerance,
-            limit=quad.max_subdivisions,
+            limit=200,
             full_output=True,
         )
         if len(out) > 3:

@@ -340,6 +340,18 @@ class TestKernelTable:
         assert recs and set(recs[0]) == {"d", "value", "mode", "alpha", "n", "K"}
         assert all(r["value"] > 0 for r in recs)
 
+    @pytest.mark.parametrize("alpha", [80, 200])
+    def test_alpha_past_the_exact_overflow_returns_2(self, tmp_path, capsys, alpha):
+        # kve(alpha - 3/2, rho) overflows at the table's smallest distances from
+        # alpha = 67 on; at 200 it is not finite on most of the grid
+        out = tmp_path / "k"
+        assert run("kernel-table", "--out", out, "--set", f"noise.alpha={alpha}") == 2
+        assert capsys.readouterr().err == (
+            f"error: the kernel table at noise.alpha = {alpha}, model.K = 1.0 "
+            "overflows at distance 0.001\n"
+        )
+        assert not out.exists()
+
     def test_table_is_decreasing_and_dominates_lower(self, tmp_path):
         out = tmp_path / "t"
         assert run("kernel-table", "--out", out) == 0
@@ -665,6 +677,14 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "heat-kernel-mass" in out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("key", ["model.n=7", "noise.alpha=0.2"])
+    def test_keys_it_never_reads_are_not_checked(self, tmp_path, capsys, key):
+        # validate runs fixed n = 3, alpha = 1 checks, so a model it does not
+        # use cannot fail the integrability condition
+        assert run("validate", "--out", tmp_path / "v", "--quick", "--set", key) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.split()[1] == "PASS" for line in lines), lines
 
     def test_full_run_passes_every_check(self, tmp_path, capsys):
         assert run("validate", "--out", tmp_path / "v") == 0

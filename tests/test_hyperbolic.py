@@ -205,6 +205,7 @@ class TestBrownianPath:
 class TestPathEngine:
     @staticmethod
     def checkpoint_positions(n_paths, workers):
+        """Each block's checkpoint positions: its rows of the group results."""
         o = ModelPoint.basepoint(3, 1.0)
         sizes, cp_steps, _ = time_grid([0.02, 0.05], 0.01)
 
@@ -215,7 +216,8 @@ class TestPathEngine:
                     out[c] = X
             return out
 
-        return run_blocks(n_paths, workers, block)
+        rows = np.concatenate(run_blocks(n_paths, workers, block), axis=1)
+        return [rows[:, b : b + BLOCK_SIZE] for b in range(0, n_paths, BLOCK_SIZE)]
 
     def test_block_contract(self):
         # block b sees only stream (seed, b): its paths do not depend on how
@@ -271,9 +273,12 @@ class TestBlockGroups:
         )
         sizes, cp_steps, _ = time_grid([0.01, 0.02], cfg.dt)
         grid = fkmc._pair_kernel_grid(cfg, 0.02, None)
-        per_block = run_blocks(
-            n_paths, 1, lambda b, size: fkmc._simulate_block(cfg, b, size, sizes, cp_steps, grid)
-        )
+        per_block = [
+            fkmc._simulate_block(
+                cfg, b, min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE), sizes, cp_steps, grid
+            )
+            for b in range(n_blocks)
+        ]
         want = [np.concatenate([r[i] for r in per_block], axis=1) for i in (0, 1)]
         o = ModelPoint.basepoint(3, 1.0)
         radial = [radial_walk(o, [0.01, 0.02], 0.01, n_paths, 5, w) for w in (1, 2, 3)]
@@ -285,7 +290,7 @@ class TestBlockGroups:
 
     def test_group_split(self):
         def groups(n_paths, workers):
-            return run_blocks(n_paths, workers, lambda b, size: (b, size), grouped=True)
+            return run_blocks(n_paths, workers, lambda b, size: (b, size))
 
         six = 5 * BLOCK_SIZE + 5
         assert groups(six, 1) == [(0, 4 * BLOCK_SIZE), (4, BLOCK_SIZE + 5)]

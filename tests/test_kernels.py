@@ -9,9 +9,11 @@ import pytest
 from hypam import (
     BracketMode,
     ConstantLedger,
+    FkConfig,
     HeatKernelMode,
     KernelGrid,
     NoiseSpec,
+    RadialProfile,
     calibrate_lower_constant,
     dalang_check,
     QuadratureError,
@@ -19,6 +21,7 @@ from hypam import (
     g_alpha_log_values,
     g_alpha_lower,
     g_alpha_lower_log,
+    moment_estimate,
 )
 from hypam import kernels
 
@@ -260,6 +263,22 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             calibrate_lower_constant(spec_for(1.0, n=4), ConstantLedger())
 
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            # kve(78.5, 1e-3) overflows: the exact kernel is inf at the small distances
+            (spec_for(80.0), "order alpha = 80.0 is not finite at distance 0.001"),
+            # every value is finite, but the smallest ratio exceeds a double
+            (spec_for(30.0, K=1e200), "lower-bound constant at alpha = 30.0, K = 1e"),
+        ],
+        ids=["exact-inf", "constant-overflow"],
+    )
+    def test_calibration_past_the_overflow_raises_value_error(self, spec, match):
+        led = ConstantLedger()
+        with pytest.raises(ValueError, match=match):
+            calibrate_lower_constant(spec, led)
+        assert led.entry("gbar_C").provenance == "default"
+
 
 class TestKernelGrid:
     def test_interpolation_accuracy(self):
@@ -288,6 +307,21 @@ class TestKernelGrid:
         zs = np.array([0.01, 0.3, 2.0])
         want = C * np.exp(g_alpha_lower_log(spec, zs))
         assert np.allclose(grid(zs), want, rtol=1e-3)
+
+    def test_non_finite_node_value_names_order_and_distance(self):
+        # the FK pair table at alpha = 40 holds the order-80 kernel, which
+        # overflows at the floor distance
+        cfg = FkConfig(
+            spec=spec_for(40.0, beta=0.5),
+            p=2,
+            t_end=0.02,
+            dt=0.01,
+            n_paths=10,
+            seed=1,
+            u0=RadialProfile.constant(1.0),
+        )
+        with pytest.raises(ValueError, match="order alpha = 80.0 is not finite at distance 0.001"):
+            moment_estimate(cfg)
 
 
 class TestKernelGridLookup:

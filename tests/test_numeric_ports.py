@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
@@ -52,12 +52,16 @@ class TestPchipCoefficients:
         noise=st.lists(st.floats(-100.0, 100.0), min_size=13),
         use_noise=st.booleans(),
     )
+    # a subnormal last slope, whose reciprocal overflows
+    @example(steps=[1.0] * 12, levels=[0.0] * 13, noise=[0.0] * 12 + [1e-313], use_noise=True)
     def test_random_tables(self, steps, levels, noise, use_noise):
         """Small levels give flat runs, exact zero slopes and sign changes;
         one step gives the two-node line, two steps the three-node case."""
         x = np.cumsum([0.1, *steps])
         y = np.array((noise if use_noise else levels)[: len(x)])
-        assert same_bits(_pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+        with np.errstate(over="ignore"):  # scipy warns where the port must not
+            expected = PchipInterpolator(x, y).c
+        assert same_bits(_pchip_coefficients(x, y), expected)
 
     def test_two_nodes_are_the_line(self):
         c = _pchip_coefficients(np.array([1.0, 3.0]), np.array([2.0, -1.0]))
@@ -78,23 +82,10 @@ class TestPchipCoefficients:
 class TestKernelGridNodeCount:
     SPEC = NoiseSpec(alpha=1.0, beta=0.0, n=3, K=1.0)
 
-    @pytest.mark.parametrize("n_nodes", [0, 1, -4])
-    def test_fewer_than_two_nodes_raise(self, n_nodes):
-        with pytest.raises(ValueError, match="n_nodes must be at least 2"):
-            KernelGrid(self.SPEC, delta_floor=1e-3, d_max=12.0, n_nodes=n_nodes)
-
     def test_coincident_nodes_raise(self):
         """A range one ulp wide rounds nodes together, which scipy refused too."""
         with pytest.raises(ValueError, match="strictly increasing"):
-            KernelGrid(self.SPEC, delta_floor=1.0, d_max=np.nextafter(1.0, 2.0), n_nodes=10)
-
-    def test_two_nodes_look_up_scipy_bits(self):
-        grid = KernelGrid(self.SPEC, delta_floor=1e-3, d_max=12.0, n_nodes=2)
-        nodes = np.geomspace(1e-3, 12.0, 2)
-        interp = PchipInterpolator(nodes, kernels._log_g_exact_n3(self.SPEC, nodes), extrapolate=False)
-        d = np.geomspace(1e-4, 20.0, 257)
-        expected = np.where(d > 12.0, 0.0, np.exp(interp(np.clip(d, 1e-3, 12.0))))
-        assert same_bits(grid(d), expected)
+            KernelGrid(self.SPEC, delta_floor=1.0, d_max=np.nextafter(1.0, 2.0))
 
 
 def bessel_bracket(n):
