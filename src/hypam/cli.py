@@ -56,6 +56,7 @@ from .kernels import (
     first_chaos_mean,
     g_alpha_log_values,
     g_alpha_lower,
+    g_alpha_lower_log,
     NoiseSpec,
 )
 from .ledger import ConstantLedger
@@ -359,11 +360,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each table is checked by _table_values
 def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
     spec = build_spec(config)
     n, K = spec.n, spec.K
     sk = math.sqrt(K)
     d_grid = np.geomspace(1e-3 / sk, 10.0 / sk, 200)
+    keys = f"noise.alpha = {config['noise']['alpha']}, model.K = {K}"
     mode = (
         HeatKernelMode.exact_n3()
         if n == 3
@@ -373,29 +376,38 @@ def cmd_kernel_table(args, config: dict, ledger: ConstantLedger) -> tuple[int, d
     bracket = mode.bracket.value
     # one distance column, formatted once for all five blocks of rows
     ds = Column(d_grid.tolist())
-    with np.errstate(over="ignore"):
-        values = np.exp(g_alpha_log_values(spec, d_grid, mode))
-    if not np.isfinite(values).all():
-        raise ConfigError(
-            f"the kernel table at noise.alpha = {config['noise']['alpha']}, model.K = {K} "
-            f"overflows at distance {d_grid[~np.isfinite(values)][0]:.6g}"
-        )
-    values = values.tolist()
+    what = f"kernel table at {keys}"
+    values = _table_values(what, d_grid, g_alpha_log_values(spec, d_grid, mode))
     files = [_table("g_alpha", header, [ds, values, bracket, spec.alpha, n, K], args.format)]
     # pin the lower-bound constant against the exact kernel on the emitted
     # grid, unless the user supplied one; the manifest ledger records which
     if n == 3 and ledger.entry("gbar_C").provenance == "default":
-        calibrate_lower_constant(spec, ledger, d_grid=d_grid)
-    lower_vals = g_alpha_lower(spec, d_grid, ledger).tolist()
+        try:
+            calibrate_lower_constant(spec, ledger, d_grid=d_grid)
+        except ValueError as exc:
+            raise ConfigError(f"{keys}: {exc}") from None
+    what = f"lower-bound table at {keys}"
+    lower_vals = _table_values(what, d_grid, g_alpha_lower_log(spec, d_grid, ledger))
     columns = [ds, lower_vals, BracketMode.LOWER.value, spec.alpha, n, K]
     files.append(_table("g_alpha_lower", header, columns, args.format))
-    blocks = [
-        [ds, t, np.exp(heat_kernel_log_values(t, d_grid, n, K, mode)).tolist(), bracket, n, K]
-        for t in (0.1, 1.0, 5.0)
-    ]
+    blocks = []
+    for t in (0.1, 1.0, 5.0):
+        what = f"heat-kernel table at model.K = {K}, t = {t}"
+        values = _table_values(what, d_grid, heat_kernel_log_values(t, d_grid, n, K, mode))
+        blocks.append([ds, t, values, bracket, n, K])
     header = ["d", "t", "value", "mode", "n", "K"]
     files.append(_table("heat_kernel", header, blocks[0], args.format, *blocks[1:]))
     return 0, dict(files)
+
+
+def _table_values(what: str, d_grid: np.ndarray, log_values: np.ndarray) -> list[float]:
+    """exp of a table's log values, as a list; a value a double does not hold
+    is a ConfigError that names the table."""
+    values = np.exp(log_values)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ConfigError(f"the {what} overflows at distance {d_grid[bad][0]:.6g}")
+    return values.tolist()
 
 
 def cmd_bm_sample(args, config: dict, ledger: ConstantLedger) -> tuple[int, dict[str, str]]:
@@ -538,7 +550,7 @@ def _validate_checks(config: dict, quick: bool) -> list[tuple[str, bool, str]]:
     mode = HeatKernelMode.exact_n3()
 
     def mass_integrand(d: float) -> float:
-        lg = float(heat_kernel_log_values(1.0, d, 3, K, mode))
+        lg = heat_kernel_log_values(1.0, d, 3, K, mode)
         area = 4.0 * math.pi * (math.sinh(math.sqrt(K) * d) / math.sqrt(K)) ** 2
         return math.exp(lg) * area
 

@@ -34,7 +34,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .rng import stream_generator
-from .specialfn import dm_h_log
+from .specialfn import _float_or_array, dm_h_log
 
 __all__ = [
     "BLOCK_SIZE",
@@ -115,11 +115,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
-def minkowski_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def minkowski_inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """<a, b>_L over the last axis; broadcasts over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 0] - _dot(a[..., 1:], b[..., 1:])
+    return _float_or_array(a[..., 0] * b[..., 0] - _dot(a[..., 1:], b[..., 1:]))
 
 
 def _check_scale(K: float) -> None:
@@ -146,7 +146,7 @@ class ModelPoint:
         if not coords[0] > 0.0:
             raise ValueError("point must lie on the upper sheet (coords[0] > 0)")
         if sheet_violation(coords, self.K) > _NORM_TOL:
-            q = float(minkowski_inner(coords, coords))
+            q = minkowski_inner(coords, coords)
             raise ValueError(
                 f"coords violate the sheet constraint: K<x,x>_L = {self.K * q!r}"
             )
@@ -159,7 +159,7 @@ class ModelPoint:
         return cls(coords, n, K)
 
 
-def sheet_violation(X: np.ndarray, K: float) -> np.ndarray:
+def sheet_violation(X: np.ndarray, K: float) -> float | np.ndarray:
     """Residual |K<x,x>_L - 1| measured relative to the coordinate scale.
 
     The raw residual is a difference of squares of size K|x|^2, so rounding
@@ -171,13 +171,13 @@ def sheet_violation(X: np.ndarray, K: float) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     q = K * minkowski_inner(X, X)
     scale = np.maximum(1.0, K * np.sum(X * X, axis=-1))
-    return np.abs(q - 1.0) / scale
+    return _float_or_array(np.abs(q - 1.0) / scale)
 
 
-def distance_coords(X: np.ndarray, Y: np.ndarray, K: float) -> np.ndarray:
+def distance_coords(X: np.ndarray, Y: np.ndarray, K: float) -> float | np.ndarray:
     """Geodesic distance between coordinate arrays; broadcasts over leading axes."""
     arg = np.maximum(K * minkowski_inner(X, Y), 1.0)
-    return np.arccosh(arg) / math.sqrt(K)
+    return _float_or_array(np.arccosh(arg) / math.sqrt(K))
 
 
 def brownian_step(X: np.ndarray, rng, dt: float, K: float) -> np.ndarray:
@@ -410,9 +410,7 @@ def heat_kernel_log_values(t: float, d, n: int, K: float, mode: HeatKernelMode):
         )
     else:
         out = dm_h_log(tau, rho, n) + 0.5 * n * math.log(K) + math.log(mode.C)
-    if np.isscalar(d):
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +448,4 @@ class RadialProfile:
             out = np.full_like(r_arr, self.epsilon)
         else:
             out = np.where(r_arr <= self.R, self.epsilon, 0.0)
-        if np.isscalar(r):
-            return float(out)
-        return out
+        return _float_or_array(out)

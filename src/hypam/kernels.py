@@ -25,7 +25,7 @@ from scipy.special import gammaln, hyperu, kve
 
 from .hyperbolic import BracketMode, HeatKernelMode, KernelBracket, _check_scale, _log_sinh
 from .ledger import ConstantLedger
-from .specialfn import QuadratureError, dm_h_log, log_gamma_upper
+from .specialfn import QuadratureError, _float_or_array, dm_h_log, log_gamma_upper
 
 __all__ = [
     "NoiseSpec",
@@ -230,7 +230,11 @@ def g_alpha_log_values(spec: NoiseSpec, d, mode: HeatKernelMode):
     constant, and evaluate the integral with a step-halving log-time
     trapezoid rule: successive levels agree to 1e-10 relative at every point,
     and every point's window ends lie 1e-20 below its peak; otherwise
-    :class:`~hypam.specialfn.QuadratureError`.  Diverges for d = 0 when
+    :class:`~hypam.specialfn.QuadratureError`.  Every distance of one call is
+    refined to the level its slowest distance needs, so a comparison-mode
+    value depends on the other distances of its call in the last bits (a
+    one-distance call differs by up to 4e-15 relative from the same distance
+    in the 200-distance kernel-table call at n = 4).  Diverges for d = 0 when
     alpha <= n/2.
     """
     if mode.bracket is BracketMode.EXACT:
@@ -250,9 +254,7 @@ def g_alpha_log_values(spec: NoiseSpec, d, mode: HeatKernelMode):
             logs[~on_diag] = _log_time_transform(z[~on_diag], a, n)
         lead = math.log(mode.C) + (n / 2.0 - a) * math.log(K) - math.lgamma(a)
         out = (lead + logs).reshape(d_arr.shape)
-    if np.ndim(d) == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 def g_alpha(spec: NoiseSpec, d: float, mode: HeatKernelMode) -> KernelBracket:
@@ -273,13 +275,11 @@ def g_alpha_lower_log(spec: NoiseSpec, z, ledger: ConstantLedger | None = None):
     """
     a, n, K = spec.alpha, spec.n, spec.K
     C = ledger.value("gbar_C") if ledger is not None else 1.0
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    zf = np.atleast_1d(z_arr)
-    if np.any(zf <= 0.0) or not np.all(np.isfinite(zf)):
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
         raise ValueError("the closed-form lower bound needs finite z > 0")
-    skz = math.sqrt(K) * zf
-    w = K * zf * zf / 4.0
+    skz = math.sqrt(K) * z
+    w = K * z * z / 4.0
     lc = math.log(C) - math.lgamma(a) - a * math.log(K)
     if a > n / 2.0:
         out = lc - w - (n - 1) * skz / 2.0 - 1.5 * np.log1p(skz)
@@ -291,17 +291,12 @@ def g_alpha_lower_log(spec: NoiseSpec, z, ledger: ConstantLedger | None = None):
             out = pref - s * np.log(w) + tail
         else:
             out = pref + tail
-    if scalar:
-        return float(out[0])
-    return out.reshape(z_arr.shape)
+    return _float_or_array(out)
 
 
 def g_alpha_lower(spec: NoiseSpec, z, ledger: ConstantLedger | None = None):
     """Closed-form radial lower bound; see :func:`g_alpha_lower_log`."""
-    lg = g_alpha_lower_log(spec, z, ledger)
-    if np.ndim(lg) == 0:
-        return math.exp(float(lg))
-    return np.exp(lg)
+    return _float_or_array(np.exp(g_alpha_lower_log(spec, z, ledger)))
 
 
 def _require_finite(spec: NoiseSpec, d: np.ndarray, log_values: np.ndarray) -> None:
@@ -340,10 +335,12 @@ def calibrate_lower_constant(
     try:
         C = math.exp(log_ratios[j]) * (1.0 - 1e-12)
     except OverflowError:
+        C = math.inf
+    if not 0.0 < C < math.inf:
         raise ValueError(
-            f"the lower-bound constant at alpha = {spec.alpha}, K = {spec.K} overflows: "
-            f"its log is {log_ratios[j]:.6g}"
-        ) from None
+            f"the lower-bound constant at alpha = {spec.alpha}, K = {spec.K} "
+            f"{'overflows' if C else 'underflows'}: its log is {log_ratios[j]:.6g}"
+        )
     ledger.set(
         "gbar_C",
         C,
@@ -405,9 +402,11 @@ class KernelGrid:
     of the n = 3 closed form (source EXACT) or the closed-form lower bound
     (source LOWER); source is stored as a BracketMode.
 
-    Distances below the floor are capped at the floor value (the kernel is
-    decreasing, so the cap only lowers pairwise energies); distances beyond
-    the table are mapped to zero, again a downward-biased choice.
+    Distances below the floor are capped at the floor value, which lowers
+    each value looked up there (the kernel is decreasing); the FK pair
+    integral's s = 0 node is such a lookup, and it still raises the
+    integral (see :mod:`hypam.fkmc`).  Distances beyond the table are mapped
+    to zero.
     """
 
     def __init__(
@@ -431,7 +430,7 @@ class KernelGrid:
         if self.source is BracketMode.EXACT:
             logv = _log_g_exact_n3(spec, nodes)
         else:
-            logv = np.asarray(g_alpha_lower_log(spec, nodes, ledger))
+            logv = g_alpha_lower_log(spec, nodes, ledger)
         _require_finite(spec, nodes, logv)
         self._nodes = nodes
         # the nodes are log-spaced, so a key's interval is computed, not searched
@@ -490,6 +489,4 @@ class KernelGrid:
         out += t
         np.exp(out, out=out)
         np.copyto(out, 0.0, where=flat > self.d_max)
-        if np.isscalar(d) or d_arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(d_arr.shape, order=order)
+        return _float_or_array(out.reshape(d_arr.shape, order=order))

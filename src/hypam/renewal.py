@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .kernels import NoiseSpec, dalang_check
-from .specialfn import EULER_GAMMA, gamma_lower
+from .specialfn import EULER_GAMMA, _float_or_array, gamma_lower
 
 __all__ = [
     "Regime",
@@ -97,11 +97,6 @@ def _rho_values(rho) -> np.ndarray:
     if np.any(r < 0.0):
         raise ValueError("rho must be nonnegative")
     return r
-
-
-def _float_or_array(out):
-    """A 0-d result as a Python float, any other as the array itself."""
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def short_time_term(i: Regime, rho, cfg: BoundConfig):

@@ -97,6 +97,12 @@ def integrate(
     return total
 
 
+def _float_or_array(out):
+    """The one return rule of every function that takes a scalar or an array:
+    a 0-d result as a Python float, any other as the array itself."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _check_order(s: float) -> None:
     if not math.isfinite(s):
         raise ValueError("order s must be finite")
@@ -112,8 +118,7 @@ def gamma_lower(s: float, x):
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x_arr) & (x_arr >= 0.0)):
         raise ValueError("gamma_lower requires finite x >= 0")
-    out = _sp.gammainc(s, x_arr) * _sp.gamma(s)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(_sp.gammainc(s, x_arr) * _sp.gamma(s))
 
 
 # Below this value the scipy tail is close enough to the subnormal range that
@@ -144,9 +149,7 @@ def log_gamma_upper(s: float, x):
     out = np.log(np.where(far, 1.0, tail))
     if np.any(far):
         out[far] = _log_gamma_upper_cf(s, xf[far])
-    if x_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(x_arr.shape)
+    return _float_or_array(out.reshape(x_arr.shape))
 
 
 def _log_gamma_upper_cf(s: float, x: np.ndarray) -> np.ndarray:
@@ -197,6 +200,4 @@ def dm_h_log(t, z, n: int):
         - (n - 1) ** 2 * t_arr / 4.0
         - (n - 1) * z_arr / 2.0
     )
-    if np.isscalar(t) and np.isscalar(z):
-        return float(out)
-    return out
+    return _float_or_array(out)

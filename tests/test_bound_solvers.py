@@ -3,6 +3,7 @@ dense scan plus a bounded scalar maximizer, beta_critical against a
 bisection, p_critical at exact ties, and properties over random specs."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -142,6 +143,41 @@ class TestCriticalClosedForms:
             p_critical(0.0, SPEC)
         with pytest.raises(RuntimeError):
             p_critical(1e-160, SPEC)
+
+
+SOLVERS = {
+    "q_sup": lambda spec: q_sup(2, 1.0, spec),
+    "lower_lyapunov": lambda spec: lower_lyapunov(2, 1.0, spec),
+    "beta_critical": lambda spec: beta_critical(2, spec),
+    "p_critical": lambda spec: p_critical(1.0, spec),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestExtremeCurvature:
+    """The lower kernel lacks its K^(n/2) scaling, so it overflows a double at
+    small K, and the eigenvalue bound, which scales as K, at large K; every
+    solver then raises one RuntimeError and warns nothing."""
+
+    @pytest.mark.parametrize(
+        "K, what", [(1e-200, "lower-bound kernel"), (1e308, "Dirichlet eigenvalue bound")]
+    )
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_a_piece_past_a_double_raises(self, solver, K, what):
+        message = f"the {what} overflows on the radius grid at K = {K:g}, alpha = 1"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            SOLVERS[solver](replace(SPEC, K=K))
+
+    def test_an_exponent_past_a_double_raises(self):
+        # at K = 1e-150 the kernel holds, but beta^2 times it does not at beta = 1e5
+        spec = replace(SPEC, K=1e-150)
+        assert math.isfinite(lower_lyapunov(2, 1e2, spec))
+        with pytest.raises(RuntimeError, match="the lower exponent overflows"):
+            q_sup(2, 1e5, spec)
+        # at p = 8, beta = 2.7e3 the supremum of Q is 5.1e307, and p times it overflows
+        assert q_sup(8, 2.7e3, spec).value < 1e308
+        with pytest.raises(RuntimeError, match="the lower exponent overflows"):
+            lower_lyapunov(8, 2.7e3, spec)
 
 
 specs = st.builds(

@@ -595,6 +595,49 @@ class TestSlopeCheck:
         assert run("slope-check", "--out", out, "--axis", "p", "--set", "noise.beta=5.9") != 2
 
 
+LOWER_KERNEL = "the lower-bound kernel overflows on the radius grid at K = 1e-200, alpha = 1"
+# n = 4 at a smooth noise: the lower table has no calibrated constant to catch it
+SMOOTH_N4 = ("--set", "model.n=4", "--set", "noise.alpha=2.5")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # the lower kernel lacks its K^(n/2) scaling: at small K it overflows
+        (("phase-diagram", "--set", "model.K=1e-200"), 3, LOWER_KERNEL),
+        (("slope-check", "--set", "model.K=1e-200"), 3, LOWER_KERNEL),
+        (("slope-check", "--set", "model.K=1e-150"), 3,
+         "the lower exponent overflows on the radius grid at K = 1e-150, alpha = 1"),
+        (("slope-check", "--set", "model.K=1e308"), 3,
+         "the Dirichlet eigenvalue bound overflows on the radius grid at K = 1e+308, alpha = 1"),
+        # and its calibrated constant grows as K^(3/2)
+        (("kernel-table", "--set", "model.K=1e300"), 2,
+         "noise.alpha = 1.0, model.K = 1e+300: the lower-bound constant at alpha = 1.0, "
+         "K = 1e+300 overflows: its log is 1034.41"),
+        (("kernel-table", "--set", "model.K=1e200", "--set", "noise.alpha=30"), 2,
+         "noise.alpha = 30, model.K = 1e+200: the lower-bound constant at alpha = 30.0, "
+         "K = 1e+200 overflows: its log is 753.201"),
+        (("kernel-table", "--set", "model.K=1e-300"), 2,
+         "noise.alpha = 1.0, model.K = 1e-300: the lower-bound constant at alpha = 1.0, "
+         "K = 1e-300 underflows: its log is -1037.92"),
+        (("kernel-table", *SMOOTH_N4, "--set", "model.K=1e-200"), 2,
+         "the lower-bound table at noise.alpha = 2.5, model.K = 1e-200 overflows at distance 1e+97"),
+        (("kernel-table", *SMOOTH_N4, "--set", "model.K=1e308"), 2,
+         "the heat-kernel table at model.K = 1e+308, t = 5.0 overflows at distance 1e-157"),
+    ],
+    ids=[
+        "phase-small", "slope-small", "slope-exponent", "slope-large",
+        "table-large", "table-large-alpha", "table-small", "table-lower", "table-heat",
+    ],
+)
+def test_extreme_curvature_fails_in_one_line(tmp_path, capsys, argv, code, message):
+    out = tmp_path / "o"
+    assert run(argv[0], "--out", out, *argv[1:]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # the ten (n, alpha) of the bound_scans benchmark workload
 BOUND_SCAN_CONFIGS = [
     (3, 0.6), (3, 0.75), (3, 1.0), (3, 1.5), (4, 0.8),

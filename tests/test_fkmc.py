@@ -187,10 +187,6 @@ class TestMomentSeries:
         assert [p.t for p in pts] == pytest.approx([0.33, 0.77])
         assert all(math.isfinite(p.ratio) for p in pts)
 
-    def test_convergence_check_runs(self):
-        est = moment_estimate(cfg(beta=0.0), convergence_check=True)
-        assert est.mean == 1.0
-
 
 def chaos_k1(t=0.3, workers=1):
     """The first chaos coefficient from a p = 2 ensemble with unit data."""

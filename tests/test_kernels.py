@@ -270,8 +270,10 @@ class TestLowerBound:
             (spec_for(80.0), "order alpha = 80.0 is not finite at distance 0.001"),
             # every value is finite, but the smallest ratio exceeds a double
             (spec_for(30.0, K=1e200), "lower-bound constant at alpha = 30.0, K = 1e"),
+            # the constant grows as K^(3/2), so at K = 1e-300 it is below a double
+            (spec_for(1.0, K=1e-300), "lower-bound constant at alpha = 1.0, K = 1e-300 underflows"),
         ],
-        ids=["exact-inf", "constant-overflow"],
+        ids=["exact-inf", "constant-overflow", "constant-underflow"],
     )
     def test_calibration_past_the_overflow_raises_value_error(self, spec, match):
         led = ConstantLedger()

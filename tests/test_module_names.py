@@ -60,3 +60,26 @@ def test_package_exports_come_from_submodules():
         submodule_exports |= set(importlib.import_module(f"hypam.{name}").__all__)
     stray = [e for e in hypam.__all__ if e != "__version__" and e not in submodule_exports]
     assert stray == [], f"hypam.__all__ entries in no submodule's __all__: {stray}"
+
+
+# the layers, bottom first: a module imports only from the modules before it
+LAYERS = ["specialfn", "rng", "ledger", "hyperbolic", "kernels", "renewal", "fkmc", "cli"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == MODULES
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_relative_imports_name_only_lower_layers(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    lower = set(LAYERS[: LAYERS.index(name)])
+    imported = {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    # cli reads the package version from hypam/__init__
+    imported.discard("__version__")
+    assert imported <= lower, f"{name} imports from {sorted(imported - lower)}, not below it"
